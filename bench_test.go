@@ -9,10 +9,12 @@ import (
 	"perm/internal/workload"
 )
 
-// This file holds one benchmark per experiment of DESIGN.md §4 — the
-// regenerating targets for every figure of the paper (E1–E4) and for the
-// performance-shaped experiments (E5–E8). cmd/permbench prints the same
-// measurements as tables; these benches integrate them with `go test -bench`.
+// This file holds one benchmark per experiment — the regenerating targets
+// for every figure of the paper (E1–E4) and for the performance-shaped
+// experiments (E5–E8). cmd/permbench prints the same measurements as tables;
+// these benches integrate them with `go test -bench`. PERFORMANCE.md records
+// the measured numbers; the end-to-end wire-path benchmark is described in
+// benchmark/README.md.
 
 // mustForum returns a DB loaded with the scaled forum workload.
 func mustForum(b *testing.B, n int) *perm.DB {
@@ -262,7 +264,7 @@ func BenchmarkIncremental(b *testing.B) {
 }
 
 // BenchmarkOptimizerAblation measures the planner's contribution on a
-// provenance query (DESIGN.md S8): the same rewritten plan with and without
+// provenance query: the same rewritten plan with and without
 // the logical optimizer (predicate pushdown, filter merging, projection
 // collapsing).
 func BenchmarkOptimizerAblation(b *testing.B) {

@@ -1,4 +1,6 @@
-// Command permbench regenerates the experiments of DESIGN.md/EXPERIMENTS.md:
+// Command permbench regenerates the performance-shaped experiments whose
+// numbers PERFORMANCE.md records (the end-to-end wire-path benchmark lives in
+// benchmark/, see benchmark/README.md):
 // E5 (provenance overhead by query class), E6 (rewrite strategy ablation),
 // E7 (lazy vs eager provenance) and E8 (incremental provenance via
 // BASERELATION and external provenance).

@@ -203,6 +203,7 @@ func (db *DB) NewSession() *Session {
 		mem:   executor.NewMemTracker(DefaultWorkMem, ""),
 	}
 	s.slowMs.Store(-1)
+	s.parDeg.Store(1) // the "parallelism" default above: serial
 	s.fingerprint = s.computeFingerprint()
 	db.sessions.Add(1)
 	return s

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"perm/internal/algebra"
+	"perm/internal/executor"
 )
 
 // Intra-query parallelism coverage: parallel execution must be byte-identical
@@ -74,6 +77,7 @@ func TestParallelDifferential(t *testing.T) {
 	db := seedParallelDB(t)
 	base := db.NewSession()
 	defer base.Close()
+	mustExecSpill(t, base, `SET parallelism = 1`)
 	want := make(map[string]string, len(parallelSuite))
 	for _, q := range parallelSuite {
 		want[q] = renderFull(mustExecSpill(t, base, q))
@@ -105,6 +109,41 @@ func TestParallelDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestParallelReadYourWrites: parallel scans cut their partitions from the
+// statement's own view — inside a transaction, its snapshot plus its
+// uncommitted writes — exactly as serial scans do, through gather,
+// aggregation and join, and each statement at degree > 1 really fans out.
+func TestParallelReadYourWrites(t *testing.T) {
+	db := seedParallelDB(t)
+	cases := []struct{ q, want string }{
+		{`SELECT k, s FROM big WHERE v = 999999`, "-1|mine"},
+		{`SELECT count(*), max(v) FROM big`, "6001|999999"},
+		{`SELECT b.s, o.s FROM big b JOIN other o ON b.v = o.v WHERE b.v = 999999`, "mine|theirs"},
+	}
+	for _, deg := range []int{1, 2, 8} {
+		s := db.NewSession()
+		mustExecSpill(t, s, fmt.Sprintf(`SET parallelism = %d`, deg))
+		mustExecSpill(t, s, `SET trace = on`)
+		mustExecSpill(t, s, `BEGIN`)
+		mustExecSpill(t, s, `INSERT INTO big VALUES (-1, 999999, 'mine')`)
+		mustExecSpill(t, s, `INSERT INTO other VALUES (-2, 999999, 'theirs')`)
+		for _, c := range cases {
+			if got := renderRows(mustExecSpill(t, s, c.q)); got != c.want {
+				t.Errorf("parallelism=%d: %q = %q, want %q", deg, c.q, got, c.want)
+			}
+			if deg == 1 {
+				continue
+			}
+			tr := mustExecSpill(t, s, `SHOW last_trace`)
+			if ops := tr.Rows[0][colIndex(t, tr.Columns, "parallel_ops")].I; ops < 1 {
+				t.Errorf("parallelism=%d: %q did not fan out (parallel_ops = %d)", deg, c.q, ops)
+			}
+		}
+		mustExecSpill(t, s, `ROLLBACK`)
+		s.Close()
 	}
 }
 
@@ -340,4 +379,55 @@ func TestParallelTraceCounters(t *testing.T) {
 	if !strings.Contains(out.String(), "workers=") {
 		t.Errorf("EXPLAIN ANALYZE of a parallel join missing workers= rollup:\n%s", out.String())
 	}
+
+	// Beneath a fanned-out join or aggregation the workers' scans are
+	// instrumented: their rows, summed over the workers, are big's 6000.
+	mustExecSpill(t, s, `SET parallelism = 2`)
+	for _, q := range []string{
+		`SELECT b.k, o.v FROM big b JOIN other o ON b.v = o.v`,
+		`SELECT k, count(*), sum(v) FROM big GROUP BY k`,
+	} {
+		ex, err := s.ExplainAnalyze(parseSelect(t, q))
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		var fanned *executor.OpStats
+		ex.Stats.Walk(func(n *executor.OpStats) {
+			if n.Workers > 0 && fanned == nil {
+				fanned = n
+			}
+		})
+		if fanned == nil || fanned.Workers != 2 {
+			t.Fatalf("%q: no operator fanned out to 2 workers:\n%s", q, ex.AnalyzedTree)
+		}
+		if got := scanRows(fanned, "big"); got != 6000 {
+			t.Errorf("%q: scans of big under the exchange produced %d rows, want 6000:\n%s", q, got, ex.AnalyzedTree)
+		}
+	}
+
+	// A join whose probe side is below the fan-out floor runs serially, and
+	// its scans are instrumented all the same.
+	ex, err := s.ExplainAnalyze(parseSelect(t, `SELECT a.w, b.w FROM small a JOIN small b ON a.w = b.w`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.Stats.Walk(func(n *executor.OpStats) {
+		if n.Workers != 0 {
+			t.Errorf("small join: %T fanned out to %d workers", n.Op, n.Workers)
+		}
+	})
+	if got := scanRows(ex.Stats, "small"); got != 80 {
+		t.Errorf("serial-fallback join scans produced %d rows, want 2x40:\n%s", got, ex.AnalyzedTree)
+	}
+}
+
+// scanRows sums the rows every scan of table produced in the stats subtree.
+func scanRows(root *executor.OpStats, table string) int64 {
+	var n int64
+	root.Walk(func(st *executor.OpStats) {
+		if sc, ok := st.Op.(*algebra.Scan); ok && sc.Table == table {
+			n += st.Rows
+		}
+	})
+	return n
 }

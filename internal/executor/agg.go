@@ -44,6 +44,9 @@ type aggIter struct {
 	reg    fileReg
 	merger *seqMerger
 	fold   *aggFold // current fold, released via Close on error unwinds
+	// partial marks a parallel worker's fold: it never spills, and crossing
+	// the budget aborts with errParallelOverflow so the serial path runs.
+	partial bool
 }
 
 // aggState accumulates one aggregate within one group.
@@ -190,46 +193,9 @@ func decodeAggPartial(rec []byte, nAggs int) (*aggGroup, int64, error) {
 func (a *aggIter) Open(ctx *Context) error {
 	a.release()
 	a.ctx = ctx
-	if err := a.input.Open(ctx); err != nil {
+	fold, _, err := a.foldInput(ctx)
+	if err != nil {
 		return err
-	}
-	defer a.input.Close()
-
-	// Compile group-by and aggregate-argument expressions once for the whole
-	// input, instead of tree-walking them per row.
-	if a.groupBy == nil {
-		a.groupBy = compileAll(a.op.GroupBy)
-		a.argExprs = make([]compiledExpr, len(a.op.Aggs))
-		for i, ae := range a.op.Aggs {
-			if ae.Arg != nil {
-				a.argExprs[i] = Compile(ae.Arg)
-			}
-		}
-	}
-
-	fold := a.newFold(0)
-	a.fold = fold
-	total := 0
-	for {
-		// The fold emits no rows until every input is consumed, so it polls
-		// for cancellation itself (like the join probe loops).
-		if err := ctx.tick(); err != nil {
-			return err
-		}
-		row, err := a.input.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		total++
-		if ctx.RowBudget > 0 && total > int(ctx.RowBudget) {
-			return fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
-		}
-		if err := fold.add(uint64(total-1), row); err != nil {
-			return err
-		}
 	}
 
 	if fold.parts == nil {
@@ -279,6 +245,53 @@ func (a *aggIter) Open(ctx *Context) error {
 	}
 	a.merger = m
 	return nil
+}
+
+// foldInput opens the input and folds all of it into a fresh level-0 fold
+// (kept in a.fold, so Close releases it on error unwinds), returning the fold
+// and the input row count.
+func (a *aggIter) foldInput(ctx *Context) (*aggFold, int, error) {
+	if err := a.input.Open(ctx); err != nil {
+		return nil, 0, err
+	}
+	defer a.input.Close()
+
+	// Compile group-by and aggregate-argument expressions once for the whole
+	// input, instead of tree-walking them per row.
+	if a.groupBy == nil {
+		a.groupBy = compileAll(a.op.GroupBy)
+		a.argExprs = make([]compiledExpr, len(a.op.Aggs))
+		for i, ae := range a.op.Aggs {
+			if ae.Arg != nil {
+				a.argExprs[i] = Compile(ae.Arg)
+			}
+		}
+	}
+
+	fold := a.newFold(0)
+	a.fold = fold
+	total := 0
+	for {
+		// The fold emits no rows until every input is consumed, so it polls
+		// for cancellation itself (like the join probe loops).
+		if err := ctx.tick(); err != nil {
+			return nil, 0, err
+		}
+		row, err := a.input.Next()
+		if err != nil {
+			return nil, 0, err
+		}
+		if row == nil {
+			return fold, total, nil
+		}
+		total++
+		if ctx.RowBudget > 0 && total > int(ctx.RowBudget) {
+			return nil, 0, fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
+		}
+		if err := fold.add(uint64(total-1), row); err != nil {
+			return nil, 0, err
+		}
+	}
 }
 
 // resolvePartition folds one spilled partition, cascading to sub-partitions
@@ -444,9 +457,7 @@ func (f *aggFold) newGroup(keys value.Row, firstSeq uint64) *aggGroup {
 	return newAggGroup(f.a.op.Aggs, keys, firstSeq)
 }
 
-// newAggGroup initializes a group's states for the given aggregate list; the
-// serial fold and the parallel workers share it so partial states start out
-// identical.
+// newAggGroup initializes a group's states for the given aggregate list.
 func newAggGroup(aggs []algebra.AggExpr, keys value.Row, firstSeq uint64) *aggGroup {
 	g := &aggGroup{keys: keys, states: make([]aggState, len(aggs)), firstSeq: firstSeq}
 	for i, ae := range aggs {
@@ -511,6 +522,9 @@ func (f *aggFold) add(seq uint64, row value.Row) error {
 	// previous scan found nothing left to shed, rescan only once enough new
 	// growth accrued for a fragment to have crossed the run floor.
 	if f.acct.spillable() && f.acct.over() {
+		if f.a.partial {
+			return errParallelOverflow
+		}
 		if !f.evictStuck || f.growSinceEvict >= minDistinctRunBytes {
 			return f.evictOver()
 		}
@@ -524,7 +538,7 @@ func (f *aggFold) routing() bool {
 	if f.parts != nil {
 		return true
 	}
-	if f.acct.spillable() && f.acct.over() && len(f.order) >= minFoldGroups && f.level < maxSpillLevel {
+	if !f.a.partial && f.acct.spillable() && f.acct.over() && len(f.order) >= minFoldGroups && f.level < maxSpillLevel {
 		f.parts = newPartitionSet(f.a.ctx.Mem.Pool(), &f.a.reg, f.level)
 		return true
 	}
@@ -557,6 +571,9 @@ func (f *aggFold) addPartial(rec []byte) error {
 	f.acct.grow(g.bytes)
 	f.growSinceEvict += g.bytes
 	if f.acct.spillable() && f.acct.over() {
+		if f.a.partial {
+			return errParallelOverflow
+		}
 		if !f.evictStuck || f.growSinceEvict >= minDistinctRunBytes {
 			return f.evictOver()
 		}

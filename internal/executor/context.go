@@ -95,6 +95,9 @@ type Context struct {
 	ParallelWorkers int32
 	// ticks counts tick() calls for the row-free cancellation polls.
 	ticks uint32
+	// part, set only on a parallel worker's context, is the partition the
+	// exchange's leaf scan reads instead of the table.
+	part *scanPart
 }
 
 // Tick exposes the cancellation poll to engine-level DML loops (UPDATE
@@ -229,8 +232,9 @@ func (c *Context) SetDeadline(t time.Time) {
 // channel, deadline, bound parameters) but own everything mutable: scratch
 // buffers, tick counters, subplan caches, the outer-row stack, and the stats
 // owner — none of which is safe to share across goroutines. Parallel is 1:
-// subtrees a worker drives never fan out again.
-func (c *Context) workerClone() *Context {
+// subtrees a worker drives never fan out again. part is the worker's
+// partition of the exchange's leaf scan.
+func (c *Context) workerClone(part *scanPart) *Context {
 	return &Context{
 		Store:        c.Store,
 		SnapLSN:      c.SnapLSN,
@@ -243,6 +247,7 @@ func (c *Context) workerClone() *Context {
 		Parallel:     1,
 		Params:       c.Params,
 		RowBudget:    c.RowBudget,
+		part:         part,
 	}
 }
 
@@ -293,16 +298,18 @@ type iterator interface {
 	Close() error
 }
 
-// build maps a logical operator to its uninstrumented iterator — the
+// build maps a logical operator to its uninstrumented serial iterator — the
 // default, zero-overhead path.
-func build(op algebra.Op) (iterator, error) { return buildInto(op, nil) }
+func build(op algebra.Op) (iterator, error) { return buildInto(op, nil, false) }
 
 // buildInto maps a logical operator to its iterator. With a non-nil parent
 // stats node (EXPLAIN ANALYZE, SET trace) every concrete operator gets a
 // stats child and a statIter wrapper; pass-through nodes (BaseRel, ProvDone)
 // attach their input directly to the parent, exactly as they produce no
-// iterator of their own.
-func buildInto(op algebra.Op, parent *OpStats) (iterator, error) {
+// iterator of their own. With par (a statement root with a parallelism
+// degree above 1) every operator that can fan out is wrapped in an exchange
+// (parallel.go); its subtree builds serially.
+func buildInto(op algebra.Op, parent *OpStats, par bool) (iterator, error) {
 	switch o := op.(type) {
 	case *algebra.Scan:
 		return wrapStat(&scanIter{op: o}, node(parent, o)), nil
@@ -310,59 +317,62 @@ func buildInto(op algebra.Op, parent *OpStats) (iterator, error) {
 		return wrapStat(&valuesIter{op: o}, node(parent, o)), nil
 	case *algebra.Project:
 		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
+		leaf := exchangeLeaf(o, par)
+		in, err := buildInto(o.Input, n, par && leaf == nil)
 		if err != nil {
 			return nil, err
 		}
-		return wrapStat(&projectIter{op: o, input: in}, n), nil
+		return wrapStat(withExchange(&projectIter{op: o, input: in}, o, leaf, nil, n), n), nil
 	case *algebra.Select:
 		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
+		leaf := exchangeLeaf(o, par)
+		in, err := buildInto(o.Input, n, par && leaf == nil)
 		if err != nil {
 			return nil, err
 		}
-		return wrapStat(&filterIter{op: o, input: in}, n), nil
+		return wrapStat(withExchange(&filterIter{op: o, input: in}, o, leaf, nil, n), n), nil
 	case *algebra.BaseRel:
-		return buildInto(o.Input, parent)
+		return buildInto(o.Input, parent, par)
 	case *algebra.ProvDone:
-		return buildInto(o.Input, parent)
+		return buildInto(o.Input, parent, par)
 	case *algebra.Join:
-		return buildJoin(o, parent)
+		return buildJoin(o, parent, par)
 	case *algebra.Agg:
 		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
+		leaf := exchangeLeaf(o, par)
+		in, err := buildInto(o.Input, n, par && leaf == nil)
 		if err != nil {
 			return nil, err
 		}
-		return wrapStat(&aggIter{op: o, input: in}, n), nil
+		return wrapStat(withExchange(&aggIter{op: o, input: in}, o, leaf, nil, n), n), nil
 	case *algebra.Distinct:
 		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
+		in, err := buildInto(o.Input, n, par)
 		if err != nil {
 			return nil, err
 		}
 		return wrapStat(&distinctIter{input: in}, n), nil
 	case *algebra.SetOp:
 		n := node(parent, o)
-		l, err := buildInto(o.Left, n)
+		l, err := buildInto(o.Left, n, par)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildInto(o.Right, n)
+		r, err := buildInto(o.Right, n, par)
 		if err != nil {
 			return nil, err
 		}
 		return wrapStat(&setOpIter{op: o, left: l, right: r}, n), nil
 	case *algebra.Sort:
 		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
+		in, err := buildInto(o.Input, n, par)
 		if err != nil {
 			return nil, err
 		}
 		return wrapStat(&sortIter{op: o, input: in}, n), nil
 	case *algebra.Limit:
 		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
+		in, err := buildInto(o.Input, n, par)
 		if err != nil {
 			return nil, err
 		}

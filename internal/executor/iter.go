@@ -22,7 +22,12 @@ func (s *scanIter) Open(ctx *Context) error {
 	// at its pinned snapshot LSN (or its transaction's read-your-writes
 	// view). Steady-state reads alias the table's shared materialized view
 	// without copying; the rows themselves are immutable and downstream
-	// operators must never write into them.
+	// operators must never write into them. A parallel worker's leaf scan
+	// reads its partition of that view instead.
+	if p := ctx.part; p != nil && p.scan == s.op {
+		s.rows, s.pos = p.rows, 0
+		return nil
+	}
 	rows, err := ctx.TableRows(s.op.Table)
 	if err != nil {
 		return err

@@ -18,7 +18,7 @@ var joinHashSeed = maphash.MakeSeed()
 // buildJoin picks a join algorithm: lateral joins always run nested-loop with
 // per-left-row re-execution of the right side; equi-joins run as hash joins;
 // everything else falls back to a generic nested loop.
-func buildJoin(op *algebra.Join, parent *OpStats) (iterator, error) {
+func buildJoin(op *algebra.Join, parent *OpStats, par bool) (iterator, error) {
 	n := node(parent, op)
 	if op.Lateral {
 		switch op.Kind {
@@ -28,19 +28,25 @@ func buildJoin(op *algebra.Join, parent *OpStats) (iterator, error) {
 			return nil, fmt.Errorf("executor: lateral %s join is not supported", op.Kind)
 		}
 	}
-	left, err := buildInto(op.Left, n)
+	leaf := exchangeLeaf(op, par)
+	left, err := buildInto(op.Left, n, par && leaf == nil)
 	if err != nil {
 		return nil, err
 	}
-	right, err := buildInto(op.Right, n)
+	right, err := buildInto(op.Right, n, par && leaf == nil)
 	if err != nil {
 		return nil, err
 	}
-	keys := extractEquiKeys(op)
-	if len(keys) > 0 {
-		return wrapStat(&hashJoinIter{op: op, left: left, right: right, keys: keys}, n), nil
+	return wrapStat(withExchange(joinIter(op, left, right), op, leaf, right, n), n), nil
+}
+
+// joinIter is the non-lateral join over built inputs: a hash join on
+// equi-keys, a nested loop otherwise.
+func joinIter(op *algebra.Join, left, right iterator) iterator {
+	if keys := extractEquiKeys(op); len(keys) > 0 {
+		return &hashJoinIter{op: op, left: left, right: right, keys: keys}
 	}
-	return wrapStat(&nlJoinIter{op: op, left: left, right: right}, n), nil
+	return &nlJoinIter{op: op, left: left, right: right}
 }
 
 // equiKey is one hashable join key pair: leftExpr over the left schema,
@@ -743,13 +749,13 @@ func (l *lateralJoinIter) Open(ctx *Context) error {
 	}
 	var err error
 	if l.right == nil {
-		l.right, err = buildInto(l.op.Right, l.stats)
+		l.right, err = buildInto(l.op.Right, l.stats, false)
 		if err != nil {
 			return err
 		}
 	}
 	if l.left == nil {
-		l.left, err = buildInto(l.op.Left, l.stats)
+		l.left, err = buildInto(l.op.Left, l.stats, false)
 		if err != nil {
 			return err
 		}

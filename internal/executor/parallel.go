@@ -2,7 +2,6 @@ package executor
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -10,41 +9,48 @@ import (
 	"perm/internal/value"
 )
 
-// Intra-query parallelism. Three operators fan work out to ctx.Parallel
-// worker goroutines, each running a private iterator tree over a contiguous
-// range of the base scan's snapshot:
+// Intra-query parallelism is one operator: the exchange of Graefe's Volcano
+// model. When a statement root builds with a degree above 1, buildInto wraps
+// every operator that can fan out in an exchangeIter, which keeps that
+// operator's ordinary serial iterator (built under the caller's stats parent
+// like any other) and decides at Open whether to run it or fan out:
 //
-//   - parGatherIter: a Scan/Select/Project chain. Workers stream their range
-//     through the chain; the coordinator concatenates worker outputs in worker
-//     order, which for contiguous ranges over order-preserving operators is
-//     exactly the serial row order.
-//   - parJoinIter: a hash or nested-loop join whose probe (left) side is such
-//     a chain. The coordinator materializes the build side once; each worker
-//     joins its probe range against the shared read-only rows with a private
-//     join iterator (its own compiled expressions, hash table, and memory
-//     account against the one shared budget). Probe-side-local kinds only
-//     (INNER/LEFT/SEMI/ANTI/CROSS): their output factors by probe row, so
-//     worker-order concatenation again reproduces the serial order byte for
-//     byte.
-//   - parAggIter: hash aggregation over such a chain. Workers fold partial
-//     group states over their range; the coordinator merges partials in worker
-//     order (count/sum/min/max compose exactly), which reproduces the serial
-//     first-appearance emission order.
+//   - gather: a Scan/Select/Project chain. Each worker drains its own copy of
+//     the chain.
+//   - join: a hash or nested-loop join whose probe (left) side is such a
+//     chain. The coordinator drains the build side once, through the serial
+//     tree's own right input, and shares the rows read-only; each worker joins
+//     its probe chain against them with a private join iterator (its own
+//     compiled expressions, hash table, and memory account against the one
+//     shared budget). Probe-side-local kinds only (INNER/LEFT/SEMI/ANTI/
+//     CROSS): their output factors by probe row.
+//   - aggregation: hash aggregation over such a chain. Each worker runs the
+//     serial fold in partial mode; the coordinator merges the partial groups
+//     in worker order (count/sum/min/max compose exactly), which reproduces
+//     the serial first-appearance emission order.
 //
-// Everything else runs serial, with parallel subtrees grafted underneath
-// (buildPar). Workers share the statement's interrupt channel, deadline and
-// MemTracker through workerClone contexts; the exchange between a worker and
-// the coordinator is a bounded channel of row batches, so a fast worker parks
-// after parallelQueueLen batches instead of buffering its whole output. Close
-// cancels via the quit channel and joins every worker — no goroutine outlives
-// its statement.
+// Workers build their subtrees through the ordinary buildInto. The only
+// substitution is the chain's leaf scan, which reads one contiguous partition
+// of ctx.TableRows — the statement's own snapshot or transaction view, taken
+// once by the coordinator. Streamed outputs travel through a bounded channel
+// of row batches per worker, so a fast worker parks after parallelQueueLen
+// batches instead of buffering its whole output, and are concatenated in
+// worker order: for contiguous ranges over order-preserving operators that is
+// exactly the serial row order. Workers share the statement's interrupt
+// channel, deadline and MemTracker through workerClone contexts; Close
+// cancels via the quit channel and joins every worker, so no goroutine
+// outlives its statement.
 //
-// Serial fallbacks (always producing identical results, since the parallel
-// plans are exact): degree < 2 at Open, a probe table smaller than
-// minParallelRows, a row budget (per-worker budgets would not add up to the
-// serial semantics), a parallel join whose build side cannot stay resident
-// within work_mem, or a parallel aggregation whose group table outgrows it
-// (partial-state spilling stays a serial-path feature).
+// Each worker gets a private stats subtree (statIter is not goroutine-safe);
+// after the join the exchange sums them node by node into the serial tree's
+// nodes under its own, and publishes the per-worker rollup on its own node.
+//
+// Serial fallbacks run the serial iterator, always producing identical
+// results since the parallel plans are exact: degree < 2 at Open, a probe
+// table smaller than minParallelRows, a row budget (per-worker budgets would
+// not add up to the serial semantics), a join build side that cannot stay
+// resident within work_mem, or a partial group table that outgrows it
+// (spilling stays a serial-path feature).
 
 const (
 	// parallelBatchRows is the exchange batch size: one channel operation per
@@ -62,115 +68,31 @@ const (
 // run instead. It never escapes the executor.
 var errParallelOverflow = errors.New("executor: parallel operator over memory budget")
 
-// buildPar mirrors buildInto with parallel operators grafted in wherever the
-// subtree is eligible. Only statement roots build through it (subplans and
-// lateral right sides stay serial); every parallel operator still re-checks
-// eligibility at Open and falls back to an identical serial tree.
-func buildPar(op algebra.Op, parent *OpStats) (iterator, error) {
+// --- eligibility ----------------------------------------------------------------
+
+// exchangeLeaf returns the scan an exchange at op would partition, or nil when
+// op does not fan out: par is off (the degree-1 build), or op is neither a
+// gather chain, an eligible join nor an eligible aggregation. A bare scan
+// partitions fine but gains nothing: moving rows through the exchange costs
+// more than the slice iteration it replaces.
+func exchangeLeaf(op algebra.Op, par bool) *algebra.Scan {
+	if !par {
+		return nil
+	}
 	switch o := op.(type) {
+	case *algebra.Select, *algebra.Project:
+		return gatherLeaf(o)
 	case *algebra.Join:
 		if parJoinEligible(o) {
-			n := node(parent, o)
-			return wrapStat(&parJoinIter{op: o, keys: extractEquiKeys(o)}, n), nil
+			return gatherLeaf(o.Left)
 		}
-		if !o.Lateral {
-			n := node(parent, o)
-			left, err := buildPar(o.Left, n)
-			if err != nil {
-				return nil, err
-			}
-			right, err := buildPar(o.Right, n)
-			if err != nil {
-				return nil, err
-			}
-			if keys := extractEquiKeys(o); len(keys) > 0 {
-				return wrapStat(&hashJoinIter{op: o, left: left, right: right, keys: keys}, n), nil
-			}
-			return wrapStat(&nlJoinIter{op: o, left: left, right: right}, n), nil
-		}
-		return buildJoin(o, parent)
 	case *algebra.Agg:
 		if parAggEligible(o) {
-			n := node(parent, o)
-			return wrapStat(&parAggIter{op: o}, n), nil
+			return gatherLeaf(o.Input)
 		}
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&aggIter{op: o, input: in}, n), nil
-	case *algebra.Scan, *algebra.Select, *algebra.Project:
-		if gatherLeaf(op) != nil && chainHasWork(op) {
-			n := node(parent, op)
-			return wrapStat(&parGatherIter{op: op}, n), nil
-		}
-		return buildSerialNode(op, parent)
-	case *algebra.BaseRel:
-		return buildPar(o.Input, parent)
-	case *algebra.ProvDone:
-		return buildPar(o.Input, parent)
-	case *algebra.Distinct:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&distinctIter{input: in}, n), nil
-	case *algebra.Sort:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&sortIter{op: o, input: in}, n), nil
-	case *algebra.Limit:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&limitIter{op: o, input: in}, n), nil
-	case *algebra.SetOp:
-		n := node(parent, o)
-		l, err := buildPar(o.Left, n)
-		if err != nil {
-			return nil, err
-		}
-		r, err := buildPar(o.Right, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&setOpIter{op: o, left: l, right: r}, n), nil
 	}
-	return buildInto(op, parent)
+	return nil
 }
-
-// buildSerialNode builds one serial Scan/Select/Project iterator whose input
-// (if any) still goes through buildPar.
-func buildSerialNode(op algebra.Op, parent *OpStats) (iterator, error) {
-	switch o := op.(type) {
-	case *algebra.Scan:
-		return wrapStat(&scanIter{op: o}, node(parent, o)), nil
-	case *algebra.Select:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&filterIter{op: o, input: in}, n), nil
-	case *algebra.Project:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&projectIter{op: o, input: in}, n), nil
-	}
-	return nil, fmt.Errorf("executor: no iterator for operator %T", op)
-}
-
-// --- eligibility ----------------------------------------------------------------
 
 // exprParSafe reports whether an expression may run inside a worker: no
 // subplans (their caches and any correlation belong to the statement context)
@@ -205,21 +127,6 @@ func gatherLeaf(op algebra.Op) *algebra.Scan {
 		return gatherLeaf(o.Input)
 	}
 	return nil
-}
-
-// chainHasWork reports whether a gatherable chain does per-row compute. A bare
-// scan partitions fine but gains nothing from fan-out: moving rows through the
-// exchange costs more than the slice iteration it replaces.
-func chainHasWork(op algebra.Op) bool {
-	switch o := op.(type) {
-	case *algebra.Select, *algebra.Project:
-		return true
-	case *algebra.BaseRel:
-		return chainHasWork(o.Input)
-	case *algebra.ProvDone:
-		return chainHasWork(o.Input)
-	}
-	return false
 }
 
 // parJoinEligible: non-lateral probe-side-local kinds whose output factors by
@@ -267,11 +174,65 @@ func parAggEligible(o *algebra.Agg) bool {
 	return gatherLeaf(o.Input) != nil
 }
 
-// --- worker plumbing ------------------------------------------------------------
+// --- the exchange -----------------------------------------------------------------
 
-// sliceScanIter iterates a pre-resolved row slice: a worker's contiguous
-// partition of the coordinator's snapshot, or the shared materialized build
-// side of a parallel join.
+// withExchange wraps an operator's serial iterator in an exchange when leaf
+// (from exchangeLeaf) says the operator fans out. right is a join's serial
+// build-side input.
+func withExchange(it iterator, op algebra.Op, leaf *algebra.Scan, right iterator, n *OpStats) iterator {
+	if leaf == nil {
+		return it
+	}
+	return &exchangeIter{op: op, leaf: leaf, serial: it, right: right, stats: n}
+}
+
+// exchangeIter fans one operator out to ctx.Parallel workers (see the file
+// comment), or runs its serial iterator when a fallback applies.
+type exchangeIter struct {
+	op     algebra.Op    // a gather-chain top (Select/Project), a Join or an Agg
+	leaf   *algebra.Scan // the scan the workers partition
+	serial iterator      // op's serial iterator: the fallback
+	right  iterator      // a join's serial build-side input, drained once and shared
+	stats  *OpStats      // op's stats node; nil uninstrumented
+	ctx    *Context
+	acct   memAcct // the shared build side, or the merged groups while merging
+	inPar  bool
+
+	// Per-fan-out state. Every per-worker slot is allocated before the first
+	// goroutine starts: workers index into these slices concurrently, so the
+	// backing arrays must never move.
+	quit    chan struct{} // nil when no workers are outstanding
+	wg      sync.WaitGroup
+	outs    []chan parBatch
+	workers []*Context
+	wstats  []*OpStats // each worker's stand-in for stats (nil uninstrumented)
+	folds   []*aggFold // aggregation: each worker's partial groups
+	errs    []error    // aggregation: each worker's fold error
+	rows    []int64    // per-worker rows, written by the worker, read after join
+	ns      []int64    // per-worker wall time, same discipline
+	wi      int
+	cur     []value.Row
+	curIdx  int
+	err     error
+}
+
+// parBatch is one exchange message: a batch of rows, a terminal error, or the
+// worker's end-of-stream marker.
+type parBatch struct {
+	rows []value.Row
+	err  error
+	done bool
+}
+
+// scanPart substitutes one contiguous partition of the coordinator's snapshot
+// for a worker's leaf scan.
+type scanPart struct {
+	scan *algebra.Scan
+	rows []value.Row
+}
+
+// sliceScanIter iterates the shared materialized build side of a parallel
+// join.
 type sliceScanIter struct {
 	rows []value.Row
 	pos  int
@@ -288,112 +249,182 @@ func (s *sliceScanIter) Next() (value.Row, error) {
 }
 func (s *sliceScanIter) Close() error { return nil }
 
-// buildGatherWorker builds one worker's private iterator over a gatherable
-// chain, with the leaf scan replaced by the worker's partition. Each worker
-// compiles its own expressions: compiled closures carry scratch state and are
-// not goroutine-safe to share.
-func buildGatherWorker(op algebra.Op, part []value.Row) (iterator, error) {
-	switch o := op.(type) {
-	case *algebra.Scan:
-		return &sliceScanIter{rows: part}, nil
-	case *algebra.Select:
-		in, err := buildGatherWorker(o.Input, part)
-		if err != nil {
-			return nil, err
-		}
-		return &filterIter{op: o, input: in}, nil
-	case *algebra.Project:
-		in, err := buildGatherWorker(o.Input, part)
-		if err != nil {
-			return nil, err
-		}
-		return &projectIter{op: o, input: in}, nil
-	case *algebra.BaseRel:
-		return buildGatherWorker(o.Input, part)
-	case *algebra.ProvDone:
-		return buildGatherWorker(o.Input, part)
-	}
-	return nil, fmt.Errorf("executor: operator %T is not range-partitionable", op)
-}
-
 // splitRows cuts rows into deg contiguous partitions (the last may be short;
-// trailing partitions may be empty when deg > len).
+// trailing partitions may be empty when deg does not divide evenly).
 func splitRows(rows []value.Row, deg int) [][]value.Row {
 	parts := make([][]value.Row, deg)
 	per := (len(rows) + deg - 1) / deg
 	for w := 0; w < deg; w++ {
-		lo := w * per
-		hi := lo + per
-		if lo > len(rows) {
-			lo = len(rows)
-		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
+		lo := min(w*per, len(rows))
+		hi := min(lo+per, len(rows))
 		parts[w] = rows[lo:hi]
 	}
 	return parts
 }
 
-// parBatch is one exchange message: a batch of rows, a terminal error, or the
-// worker's end-of-stream marker.
-type parBatch struct {
-	rows []value.Row
-	err  error
-	done bool
+func (x *exchangeIter) Open(ctx *Context) error {
+	x.release()
+	x.ctx = ctx
+	x.acct.ctx = ctx
+	var rows []value.Row
+	deg := 0
+	if ctx.Parallel > 1 && ctx.RowBudget == 0 {
+		// The one snapshot every partition is cut from: workers never look
+		// at the table themselves.
+		var err error
+		if rows, err = ctx.TableRows(x.leaf.Table); err != nil {
+			return err
+		}
+		deg = min(int(ctx.Parallel), len(rows))
+	}
+	if deg < 2 || len(rows) < minParallelRows {
+		return x.serial.Open(ctx)
+	}
+	var shared []value.Row
+	if x.right != nil {
+		// A build side that cannot stay resident runs the serial join: its
+		// grace machinery spills, which rows shared read-only cannot.
+		var err error
+		if shared, err = x.materialize(ctx); err != nil {
+			x.acct.releaseAll()
+			if err == errParallelOverflow {
+				return x.serial.Open(ctx)
+			}
+			return err
+		}
+		if x.stats != nil {
+			x.stats.BuildRows = int64(len(shared))
+		}
+	}
+	its := make([]iterator, deg)
+	x.wstats = make([]*OpStats, deg)
+	for w := range its {
+		var err error
+		if its[w], x.wstats[w], err = x.buildWorker(shared); err != nil {
+			x.acct.releaseAll()
+			return err
+		}
+	}
+	_, agg := x.op.(*algebra.Agg)
+	x.quit = make(chan struct{})
+	x.workers = make([]*Context, deg)
+	x.rows = make([]int64, deg)
+	x.ns = make([]int64, deg)
+	if agg {
+		x.folds = make([]*aggFold, deg)
+		x.errs = make([]error, deg)
+	} else {
+		x.outs = make([]chan parBatch, deg)
+	}
+	for w, part := range splitRows(rows, deg) {
+		if !agg {
+			x.outs[w] = make(chan parBatch, parallelQueueLen)
+		}
+		x.workers[w] = ctx.workerClone(&scanPart{scan: x.leaf, rows: part})
+		x.wg.Add(1)
+		go x.work(w, its[w])
+	}
+	if agg {
+		x.join()
+		out, err := x.mergeWorkers()
+		x.acct.releaseAll()
+		if err == errParallelOverflow {
+			return x.serial.Open(ctx)
+		}
+		if err != nil {
+			return err
+		}
+		x.cur = out
+	}
+	x.inPar = true
+	ctx.ParallelOps++
+	ctx.ParallelWorkers += int32(deg)
+	return nil
 }
 
-// exchange runs worker goroutines that drain private iterators into bounded
-// channels, and replays their outputs in worker order. The quit channel
-// unblocks workers parked on a full queue; shutdown closes it, joins every
-// worker, and folds worker statement counters back into the parent context.
-type exchange struct {
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	outs    []chan parBatch
-	workers []*Context
-	rows    []int64 // per-worker emitted rows, written by the worker, read after join
-	ns      []int64 // per-worker wall time, same discipline
-	wi      int
-	cur     []value.Row
-	curIdx  int
-	err     error
-}
-
-// newExchange preallocates every per-worker slot up front: workers index into
-// these slices concurrently, so the backing arrays must never move after the
-// first goroutine starts.
-func newExchange(deg int) *exchange {
-	return &exchange{
-		quit:    make(chan struct{}),
-		outs:    make([]chan parBatch, 0, deg),
-		workers: make([]*Context, 0, deg),
-		rows:    make([]int64, deg),
-		ns:      make([]int64, deg),
+// materialize drains the join's build side into memory under the
+// coordinator's account, failing with errParallelOverflow the moment it
+// crosses the budget.
+func (x *exchangeIter) materialize(ctx *Context) ([]value.Row, error) {
+	if err := x.right.Open(ctx); err != nil {
+		x.right.Close()
+		return nil, err
+	}
+	defer x.right.Close()
+	var rows []value.Row
+	for {
+		if err := ctx.tick(); err != nil {
+			return nil, err
+		}
+		row, err := x.right.Next()
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			return rows, nil
+		}
+		rows = append(rows, row)
+		x.acct.grow(rowBytes(row) + rowSliceBytes)
+		if x.acct.spillable() && x.acct.over() {
+			return nil, errParallelOverflow
+		}
 	}
 }
 
-// launch starts one worker draining it. The worker owns it entirely,
-// including Close on every exit path.
-func (e *exchange) launch(parent *Context, it iterator) {
-	w := len(e.outs)
-	out := make(chan parBatch, parallelQueueLen)
-	e.outs = append(e.outs, out)
-	wctx := parent.workerClone()
-	e.workers = append(e.workers, wctx)
-	e.wg.Add(1)
-	go e.run(w, it, wctx, out)
+// buildWorker builds one worker's private tree through buildInto: a gather
+// chain whole, or a join's probe chain under a private join over the shared
+// build side, or an aggregation's input under a partial-mode aggIter. wn is
+// the worker's stand-in for the exchange's stats node (nil uninstrumented);
+// its children mirror the exchange node's.
+func (x *exchangeIter) buildWorker(shared []value.Row) (it iterator, wn *OpStats, err error) {
+	if x.stats != nil {
+		wn = &OpStats{Op: x.op}
+	}
+	switch o := x.op.(type) {
+	case *algebra.Join:
+		left, err := buildInto(o.Left, wn, false)
+		if err != nil {
+			return nil, nil, err
+		}
+		return joinIter(o, left, &sliceScanIter{rows: shared}), wn, nil
+	case *algebra.Agg:
+		in, err := buildInto(o.Input, wn, false)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &aggIter{op: o, input: in, partial: true}, wn, nil
+	}
+	if it, err = buildInto(x.op, wn, false); err != nil {
+		return nil, nil, err
+	}
+	if wn != nil {
+		wn = wn.Children[0]
+	}
+	return it, wn, nil
 }
 
-func (e *exchange) run(w int, it iterator, wctx *Context, out chan<- parBatch) {
-	defer e.wg.Done()
+// work runs worker w: a partial fold for aggregation, otherwise a drain of
+// its iterator into the worker's bounded queue. The worker owns it entirely,
+// including Close on every exit path.
+func (x *exchangeIter) work(w int, it iterator) {
+	defer x.wg.Done()
 	t0 := time.Now()
-	defer func() { e.ns[w] = time.Since(t0).Nanoseconds() }()
+	defer func() { x.ns[w] = time.Since(t0).Nanoseconds() }()
+	wctx := x.workers[w]
+	if a, ok := it.(*aggIter); ok {
+		a.ctx = wctx
+		var n int
+		x.folds[w], n, x.errs[w] = a.foldInput(wctx)
+		x.rows[w] = int64(n)
+		a.Close() // returns the fold's bytes; its groups stay readable
+		return
+	}
+	out := x.outs[w]
 	send := func(b parBatch) bool {
 		select {
 		case out <- b:
 			return true
-		case <-e.quit:
+		case <-x.quit:
 			return false
 		}
 	}
@@ -420,7 +451,7 @@ func (e *exchange) run(w int, it iterator, wctx *Context, out chan<- parBatch) {
 		if row == nil {
 			break
 		}
-		e.rows[w]++
+		x.rows[w]++
 		batch = append(batch, row)
 		if len(batch) == parallelBatchRows {
 			if !send(parBatch{rows: batch}) {
@@ -440,490 +471,32 @@ func (e *exchange) run(w int, it iterator, wctx *Context, out chan<- parBatch) {
 	send(parBatch{done: true})
 }
 
-// next returns the next row in worker order, (nil, nil) after the last
-// worker's end-of-stream. The first worker error is sticky.
-func (e *exchange) next() (value.Row, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
-	for {
-		if e.curIdx < len(e.cur) {
-			row := e.cur[e.curIdx]
-			e.curIdx++
-			return row, nil
-		}
-		if e.wi >= len(e.outs) {
-			return nil, nil
-		}
-		b := <-e.outs[e.wi]
-		switch {
-		case b.err != nil:
-			e.err = b.err
-			return nil, b.err
-		case b.done:
-			e.wi++
-		default:
-			e.cur, e.curIdx = b.rows, 0
-		}
-	}
-}
-
-// shutdown cancels outstanding workers, joins them all, and absorbs their
-// counters. Idempotent via the caller niling its reference.
-func (e *exchange) shutdown(parent *Context) {
-	close(e.quit)
-	e.wg.Wait()
-	for _, w := range e.workers {
-		parent.absorbWorker(w)
-	}
-	if e.err == nil {
-		e.err = errors.New("executor: exchange closed")
-	}
-}
-
-// recordWorkers publishes the per-worker rollup on the operator's stats node.
-// Callers invoke it only after the exchange's workers are joined.
-func recordWorkers(n *OpStats, deg int, rows, ns []int64) {
-	if n == nil {
-		return
-	}
-	n.Workers = deg
-	n.WorkerRows = append([]int64(nil), rows...)
-	n.WorkerNs = append([]int64(nil), ns...)
-}
-
-// parDegree resolves the fan-out for one Open: the session degree, bounded by
-// the partition count that still gives every worker at least one row.
-func parDegree(ctx *Context, nRows int) int {
-	d := int(ctx.Parallel)
-	if d > nRows {
-		d = nRows
-	}
-	return d
-}
-
-// parSnapshot resolves the chain's base table and takes the one snapshot every
-// partition is cut from (workers must never re-snapshot: a concurrent writer
-// could swap the live slice between looks).
-func parSnapshot(ctx *Context, leaf *algebra.Scan) ([]value.Row, error) {
-	t := ctx.Store.Table(leaf.Table)
-	if t == nil {
-		return nil, fmt.Errorf("executor: table %q does not exist", leaf.Table)
-	}
-	return t.Snapshot(), nil
-}
-
-// --- parallel gather (scan/filter/project chains) --------------------------------
-
-type parGatherIter struct {
-	op     algebra.Op
-	ctx    *Context
-	ex     *exchange
-	serial iterator // built lazily, reused across serial-fallback re-Opens
-	inPar  bool
-}
-
-func (g *parGatherIter) Open(ctx *Context) error {
-	g.release()
-	g.ctx = ctx
-	leaf := gatherLeaf(g.op)
-	var rows []value.Row
-	deg := 0
-	if int(ctx.Parallel) > 1 && ctx.RowBudget == 0 {
-		var err error
-		if rows, err = parSnapshot(ctx, leaf); err != nil {
-			return err
-		}
-		deg = parDegree(ctx, len(rows))
-	}
-	if deg < 2 || len(rows) < minParallelRows {
-		return g.openSerial(ctx)
-	}
-	g.inPar = true
-	g.ex = newExchange(deg)
-	for _, part := range splitRows(rows, deg) {
-		it, err := buildGatherWorker(g.op, part)
-		if err != nil {
-			g.release()
-			return err
-		}
-		g.ex.launch(ctx, it)
-	}
-	ctx.ParallelOps++
-	ctx.ParallelWorkers += int32(deg)
-	return nil
-}
-
-func (g *parGatherIter) openSerial(ctx *Context) error {
-	if g.serial == nil {
-		it, err := build(g.op)
-		if err != nil {
-			return err
-		}
-		g.serial = it
-	}
-	return g.serial.Open(ctx)
-}
-
-func (g *parGatherIter) Next() (value.Row, error) {
-	if !g.inPar {
-		if g.serial == nil {
-			return nil, nil
-		}
-		return g.serial.Next()
-	}
-	return g.ex.next()
-}
-
-func (g *parGatherIter) release() {
-	if g.ex != nil {
-		// Join the workers before reading their rows/ns counters —
-		// recordWorkers' contract; a worker's deferred timing write races
-		// with the copy otherwise.
-		g.ex.shutdown(g.ctx)
-		if g.ctx != nil && g.ctx.owner != nil {
-			recordWorkers(g.ctx.owner, len(g.ex.outs), g.ex.rows, g.ex.ns)
-		}
-		g.ex = nil
-	}
-	g.inPar = false
-}
-
-func (g *parGatherIter) Close() error {
-	g.release()
-	if g.serial != nil {
-		return g.serial.Close()
-	}
-	return nil
-}
-
-// --- parallel partition-wise join ------------------------------------------------
-
-type parJoinIter struct {
-	op     *algebra.Join
-	keys   []equiKey
-	ctx    *Context
-	ex     *exchange
-	acct   memAcct // the coordinator's shared materialized build side
-	serial iterator
-	inPar  bool
-}
-
-func (j *parJoinIter) Open(ctx *Context) error {
-	j.release()
-	j.ctx = ctx
-	j.acct.ctx = ctx
-	var rows []value.Row
-	deg := 0
-	if int(ctx.Parallel) > 1 && ctx.RowBudget == 0 {
-		var err error
-		if rows, err = parSnapshot(ctx, gatherLeaf(j.op.Left)); err != nil {
-			return err
-		}
-		deg = parDegree(ctx, len(rows))
-	}
-	if deg < 2 || len(rows) < minParallelRows {
-		return j.openSerial(ctx)
-	}
-	// Materialize the build side once, charged against work_mem. If it cannot
-	// stay resident the serial join runs instead: its grace machinery spills,
-	// which a table shared read-only across workers cannot.
-	shared, err := j.materializeRight(ctx)
-	if err == errParallelOverflow {
-		j.acct.releaseAll()
-		return j.openSerial(ctx)
-	}
-	if err != nil {
-		return err
-	}
-	j.inPar = true
-	j.ex = newExchange(deg)
-	for _, part := range splitRows(rows, deg) {
-		left, err := buildGatherWorker(j.op.Left, part)
-		if err != nil {
-			j.release()
-			return err
-		}
-		right := &sliceScanIter{rows: shared}
-		var wit iterator
-		if len(j.keys) > 0 {
-			wit = &hashJoinIter{op: j.op, left: left, right: right, keys: j.keys}
-		} else {
-			wit = &nlJoinIter{op: j.op, left: left, right: right}
-		}
-		j.ex.launch(ctx, wit)
-	}
-	if ctx.owner != nil {
-		ctx.owner.BuildRows = int64(len(shared))
-	}
-	ctx.ParallelOps++
-	ctx.ParallelWorkers += int32(deg)
-	return nil
-}
-
-// materializeRight drains the build side into memory under the coordinator's
-// account, failing with errParallelOverflow the moment it crosses the budget.
-func (j *parJoinIter) materializeRight(ctx *Context) ([]value.Row, error) {
-	right, err := build(j.op.Right)
-	if err != nil {
-		return nil, err
-	}
-	if err := right.Open(ctx); err != nil {
-		right.Close()
-		return nil, err
-	}
-	defer right.Close()
-	var rows []value.Row
-	for {
-		if err := ctx.tick(); err != nil {
-			return nil, err
-		}
-		row, err := right.Next()
+// mergeWorkers combines the workers' partial groups in worker order. With
+// contiguous partitions, any group of worker w first appeared globally before
+// any group whose first worker is w+1, so insertion order across workers in
+// worker order IS the serial first-appearance order.
+func (x *exchangeIter) mergeWorkers() ([]value.Row, error) {
+	for _, err := range x.errs {
 		if err != nil {
 			return nil, err
 		}
-		if row == nil {
-			return rows, nil
-		}
-		rows = append(rows, row)
-		j.acct.grow(rowBytes(row) + rowSliceBytes)
-		if j.acct.spillable() && j.acct.over() {
-			return nil, errParallelOverflow
-		}
 	}
-}
-
-func (j *parJoinIter) openSerial(ctx *Context) error {
-	if j.serial == nil {
-		it, err := buildJoin(j.op, nil)
-		if err != nil {
-			return err
-		}
-		j.serial = it
-	}
-	return j.serial.Open(ctx)
-}
-
-func (j *parJoinIter) Next() (value.Row, error) {
-	if !j.inPar {
-		if j.serial == nil {
-			return nil, nil
-		}
-		return j.serial.Next()
-	}
-	return j.ex.next()
-}
-
-func (j *parJoinIter) release() {
-	if j.ex != nil {
-		// Join the workers before reading their rows/ns counters —
-		// recordWorkers' contract; a worker's deferred timing write races
-		// with the copy otherwise.
-		j.ex.shutdown(j.ctx)
-		if j.ctx != nil && j.ctx.owner != nil {
-			recordWorkers(j.ctx.owner, len(j.ex.outs), j.ex.rows, j.ex.ns)
-		}
-		j.ex = nil
-	}
-	j.acct.releaseAll()
-	j.inPar = false
-}
-
-func (j *parJoinIter) Close() error {
-	j.release()
-	if j.serial != nil {
-		return j.serial.Close()
-	}
-	return nil
-}
-
-// --- parallel partition-wise aggregation -----------------------------------------
-
-type parAggIter struct {
-	op     *algebra.Agg
-	ctx    *Context
-	acct   memAcct
-	out    []value.Row
-	pos    int
-	serial iterator
-	inPar  bool
-}
-
-// parAggWorker is one worker's partial fold: groups in local first-appearance
-// order, plus the rollup the coordinator publishes after joining it.
-type parAggWorker struct {
-	groups map[string]*aggGroup
-	order  []*aggGroup
-	keys   []string // framed group key per order entry
-	rows   int64
-	ns     int64
-	err    error
-}
-
-func (a *parAggIter) Open(ctx *Context) error {
-	a.release()
-	a.ctx = ctx
-	a.acct.ctx = ctx
-	var rows []value.Row
-	deg := 0
-	if int(ctx.Parallel) > 1 && ctx.RowBudget == 0 {
-		var err error
-		if rows, err = parSnapshot(ctx, gatherLeaf(a.op.Input)); err != nil {
-			return err
-		}
-		deg = parDegree(ctx, len(rows))
-	}
-	if deg < 2 || len(rows) < minParallelRows {
-		return a.openSerial(ctx)
-	}
-	parts := splitRows(rows, deg)
-	workers := make([]*parAggWorker, deg)
-	wctxs := make([]*Context, deg)
-	var wg sync.WaitGroup
-	for w := 0; w < deg; w++ {
-		workers[w] = &parAggWorker{groups: make(map[string]*aggGroup)}
-		wctxs[w] = ctx.workerClone()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			a.foldPartition(workers[w], wctxs[w], parts[w])
-		}(w)
-	}
-	wg.Wait()
-	for _, w := range wctxs {
-		ctx.absorbWorker(w)
-	}
-	if n := ctx.owner; n != nil {
-		n.Workers = deg
-		n.WorkerRows = make([]int64, deg)
-		n.WorkerNs = make([]int64, deg)
-		for w, pw := range workers {
-			n.WorkerRows[w] = pw.rows
-			n.WorkerNs[w] = pw.ns
-		}
-	}
-	out, err := a.mergeWorkers(workers)
-	if err == errParallelOverflow {
-		a.acct.releaseAll()
-		return a.openSerial(ctx)
-	}
-	if err != nil {
-		return err
-	}
-	a.inPar = true
-	a.out = out
-	a.pos = 0
-	a.acct.releaseAll()
-	ctx.ParallelOps++
-	ctx.ParallelWorkers += int32(deg)
-	return nil
-}
-
-// foldPartition folds one partition into partial groups. It never spills:
-// crossing the budget aborts with errParallelOverflow and the serial path
-// (which does spill) takes over.
-func (a *parAggIter) foldPartition(w *parAggWorker, wctx *Context, part []value.Row) {
-	t0 := time.Now()
-	defer func() { w.ns = time.Since(t0).Nanoseconds() }()
-	acct := memAcct{ctx: wctx}
-	defer acct.releaseAll()
-	it, err := buildGatherWorker(a.op.Input, part)
-	if err != nil {
-		w.err = err
-		return
-	}
-	groupBy := compileAll(a.op.GroupBy)
-	argExprs := make([]compiledExpr, len(a.op.Aggs))
-	for i, ae := range a.op.Aggs {
-		if ae.Arg != nil {
-			argExprs[i] = Compile(ae.Arg)
-		}
-	}
-	if err := it.Open(wctx); err != nil {
-		it.Close()
-		w.err = err
-		return
-	}
-	defer it.Close()
-	keyVals := make(value.Row, len(groupBy))
-	var keyScratch, distinctScratch []byte
-	var seq uint64
-	for {
-		if err := wctx.tick(); err != nil {
-			w.err = err
-			return
-		}
-		row, err := it.Next()
-		if err != nil {
-			w.err = err
-			return
-		}
-		if row == nil {
-			return
-		}
-		w.rows++
-		keyScratch = keyScratch[:0]
-		for i, ge := range groupBy {
-			v, err := ge(row, wctx)
-			if err != nil {
-				w.err = err
-				return
-			}
-			keyVals[i] = v
-			keyScratch = value.AppendFramedKey(keyScratch, v)
-		}
-		g, ok := w.groups[string(keyScratch)]
-		if !ok {
-			g = newAggGroup(a.op.Aggs, keyVals.Clone(), seq)
-			w.groups[string(keyScratch)] = g
-			w.order = append(w.order, g)
-			w.keys = append(w.keys, string(keyScratch))
-			acct.grow(int64(len(keyScratch)) + rowBytes(g.keys) + aggGroupFixedBytes + int64(len(g.states))*48)
-		}
-		seq++
-		for i, ae := range a.op.Aggs {
-			var arg value.Value
-			if argExprs[i] != nil {
-				v, err := argExprs[i](row, wctx)
-				if err != nil {
-					w.err = err
-					return
-				}
-				arg = v
-			}
-			if _, err := g.states[i].accumulate(ae, arg, &distinctScratch); err != nil {
-				w.err = err
-				return
-			}
-		}
-		if acct.spillable() && acct.over() {
-			w.err = errParallelOverflow
-			return
-		}
-	}
-}
-
-// mergeWorkers combines partial groups in worker order. With contiguous
-// partitions, any group of worker w first appeared globally before any group
-// whose first worker is w+1, so insertion order across workers in worker
-// order IS the serial first-appearance order.
-func (a *parAggIter) mergeWorkers(workers []*parAggWorker) ([]value.Row, error) {
-	for _, w := range workers {
-		if w.err != nil {
-			return nil, w.err
-		}
-	}
+	agg := x.op.(*algebra.Agg)
 	merged := make(map[string]*aggGroup)
 	var order []*aggGroup
-	for _, w := range workers {
-		for i, g := range w.order {
-			key := w.keys[i]
-			dst, ok := merged[key]
+	var key []byte
+	for _, f := range x.folds {
+		for _, g := range f.order {
+			key = key[:0]
+			for _, v := range g.keys {
+				key = value.AppendFramedKey(key, v)
+			}
+			dst, ok := merged[string(key)]
 			if !ok {
-				merged[key] = g
+				merged[string(key)] = g
 				order = append(order, g)
-				a.acct.grow(int64(len(key)) + rowBytes(g.keys) + aggGroupFixedBytes + int64(len(g.states))*48)
-				if a.acct.spillable() && a.acct.over() {
+				x.acct.grow(int64(len(key)) + rowBytes(g.keys) + aggGroupFixedBytes + int64(len(g.states))*48)
+				if x.acct.spillable() && x.acct.over() {
 					return nil, errParallelOverflow
 				}
 				continue
@@ -937,14 +510,14 @@ func (a *parAggIter) mergeWorkers(workers []*parAggWorker) ([]value.Row, error) 
 	}
 	// Scalar aggregation over empty input still produces one (empty) group,
 	// exactly like the serial path.
-	if len(a.op.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, newAggGroup(a.op.Aggs, value.Row{}, 0))
+	if len(agg.GroupBy) == 0 && len(order) == 0 {
+		order = append(order, newAggGroup(agg.Aggs, value.Row{}, 0))
 	}
 	out := make([]value.Row, 0, len(order))
 	for _, g := range order {
 		row := make(value.Row, 0, len(g.keys)+len(g.states))
 		row = append(row, g.keys...)
-		for i, ae := range a.op.Aggs {
+		for i, ae := range agg.Aggs {
 			v, err := g.states[i].result(ae)
 			if err != nil {
 				return nil, err
@@ -992,43 +565,68 @@ func mergeAggState(dst, src *aggState) error {
 	return nil
 }
 
-func (a *parAggIter) openSerial(ctx *Context) error {
-	if a.serial == nil {
-		in, err := build(a.op.Input)
-		if err != nil {
-			return err
-		}
-		a.serial = &aggIter{op: a.op, input: in}
+// Next returns the next row in worker order, (nil, nil) after the last
+// worker's end-of-stream. The first worker error is sticky.
+func (x *exchangeIter) Next() (value.Row, error) {
+	if !x.inPar {
+		return x.serial.Next()
 	}
-	return a.serial.Open(ctx)
-}
-
-func (a *parAggIter) Next() (value.Row, error) {
-	if !a.inPar {
-		if a.serial == nil {
+	if x.err != nil {
+		return nil, x.err
+	}
+	for {
+		if x.curIdx < len(x.cur) {
+			row := x.cur[x.curIdx]
+			x.curIdx++
+			return row, nil
+		}
+		if x.wi >= len(x.outs) {
 			return nil, nil
 		}
-		return a.serial.Next()
+		b := <-x.outs[x.wi]
+		switch {
+		case b.err != nil:
+			x.err = b.err
+			return nil, b.err
+		case b.done:
+			x.wi++
+		default:
+			x.cur, x.curIdx = b.rows, 0
+		}
 	}
-	if a.pos >= len(a.out) {
-		return nil, nil
-	}
-	row := a.out[a.pos]
-	a.pos++
-	return row, nil
 }
 
-func (a *parAggIter) release() {
-	a.out = nil
-	a.pos = 0
-	a.acct.releaseAll()
-	a.inPar = false
+// join cancels outstanding workers, waits for them all, and folds their
+// statement counters, stats subtrees and the per-worker rollup into the
+// coordinator's. A no-op when no workers are outstanding.
+func (x *exchangeIter) join() {
+	if x.quit == nil {
+		return
+	}
+	close(x.quit)
+	x.wg.Wait()
+	x.quit = nil
+	for w, wctx := range x.workers {
+		x.ctx.absorbWorker(wctx)
+		x.stats.absorbChildren(x.wstats[w])
+	}
+	if n := x.stats; n != nil {
+		n.Workers = len(x.workers)
+		n.WorkerRows = append([]int64(nil), x.rows...)
+		n.WorkerNs = append([]int64(nil), x.ns...)
+	}
 }
 
-func (a *parAggIter) Close() error {
-	a.release()
-	if a.serial != nil {
-		return a.serial.Close()
-	}
-	return nil
+// release joins any workers and drops the fan-out state.
+func (x *exchangeIter) release() {
+	x.join()
+	x.acct.releaseAll()
+	x.inPar = false
+	x.outs, x.workers, x.wstats, x.folds, x.errs = nil, nil, nil, nil, nil
+	x.wi, x.cur, x.curIdx, x.err = 0, nil, 0, nil
+}
+
+func (x *exchangeIter) Close() error {
+	x.release()
+	return x.serial.Close()
 }

@@ -158,3 +158,21 @@ func (s *statIter) collectSpill() {
 	s.n.SpillFiles = p.Files() - s.n.baseFiles
 	s.n.SpillBytes = p.Bytes() - s.n.baseBytes
 }
+
+// absorbChildren adds a parallel worker's private copy of this node's subtree
+// into the node's children, node by node. Workers build their subtrees with
+// the same builder, so children pair by position; the node's own counters
+// stay the coordinator's. Times are summed across workers.
+func (n *OpStats) absorbChildren(w *OpStats) {
+	if n == nil || w == nil {
+		return
+	}
+	for i, c := range w.Children {
+		d := n.Children[i]
+		d.Opens += c.Opens
+		d.Rows += c.Rows
+		d.OpenNs += c.OpenNs
+		d.NextNs += c.NextNs
+		d.absorbChildren(c)
+	}
+}

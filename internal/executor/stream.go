@@ -36,19 +36,11 @@ func (s *Stream) Context() *Context { return s.ctx }
 
 // Open builds the iterator tree for plan and opens it under ctx, returning
 // the live stream. The schema (and thus result columns) is available
-// immediately; rows follow on demand.
+// immediately; rows follow on demand. With a parallelism degree above 1 the
+// builder places an exchange at every operator that can fan out; each decides
+// at Open whether to, and results are identical either way.
 func Open(ctx *Context, plan algebra.Op) (*Stream, error) {
-	var it iterator
-	var err error
-	if ctx.Parallel > 1 {
-		// Statement roots with a parallelism degree build through buildPar,
-		// which grafts parallel operators wherever a subtree is eligible.
-		// Results are identical either way; ineligible or too-small subtrees
-		// fall back to the serial iterators at Open.
-		it, err = buildPar(plan, nil)
-	} else {
-		it, err = build(plan)
-	}
+	it, err := buildInto(plan, nil, ctx.Parallel > 1)
 	if err != nil {
 		return nil, err
 	}
@@ -61,18 +53,13 @@ func Open(ctx *Context, plan algebra.Op) (*Stream, error) {
 
 // OpenInstrumented is Open with per-operator counters: every concrete
 // iterator is wrapped with a stats collector, and the returned root node
-// mirrors the iterator tree. The numbers are live while the stream drains
-// and final once it is closed or exhausted. Used by EXPLAIN ANALYZE and
-// SET trace; everything else takes the unwrapped Open path.
+// mirrors the iterator tree — beneath exchanges too, where each node sums
+// what the workers' copies of it counted. The numbers are live while the
+// stream drains and final once it is closed or exhausted. Used by EXPLAIN
+// ANALYZE and SET trace; everything else takes the unwrapped Open path.
 func OpenInstrumented(ctx *Context, plan algebra.Op) (*Stream, *OpStats, error) {
 	sentinel := &OpStats{}
-	var it iterator
-	var err error
-	if ctx.Parallel > 1 {
-		it, err = buildPar(plan, sentinel)
-	} else {
-		it, err = buildInto(plan, sentinel)
-	}
+	it, err := buildInto(plan, sentinel, ctx.Parallel > 1)
 	if err != nil {
 		return nil, nil, err
 	}
