@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,11 +19,12 @@ import (
 // file may outlive its query.
 
 // seedParallelDB extends the spill fixture with a small table for bounded
-// nested-loop joins. big has 6000 rows and other 3000 — both above the
-// executor's fan-out floor.
+// nested-loop joins and the forum tables. big has 6000 rows and other 3000 —
+// both above the executor's fan-out floor.
 func seedParallelDB(t testing.TB) *DB {
 	t.Helper()
 	db := seedSpillDB(t, 6000)
+	seedForumTables(t, db, 3000)
 	s := db.NewSession()
 	defer s.Close()
 	mustExecSpill(t, s, `CREATE TABLE small (w int)`)
@@ -40,9 +42,10 @@ func seedParallelDB(t testing.TB) *DB {
 
 // parallelSuite spans every parallel operator plus shapes that must fall back
 // to the serial path and still agree: gather chains, partition-wise hash and
-// nested-loop joins, partition-wise aggregation, DISTINCT aggregates and
-// float sums (ineligible), subqueries, sorts, and provenance rewrites.
-var parallelSuite = []string{
+// nested-loop joins (RIGHT/FULL ones too), partition-wise aggregation,
+// DISTINCT aggregates and float sums (ineligible), subqueries, sorts, and
+// provenance rewrites, the forum aggregation class among them.
+var parallelSuite = slices.Concat([]string{
 	// gather: scan/filter/project chains
 	`SELECT k, v FROM big WHERE v % 3 = 0`,
 	`SELECT k + v, s FROM big WHERE k < 25`,
@@ -66,7 +69,8 @@ var parallelSuite = []string{
 	`SELECT PROVENANCE k, v FROM big WHERE v % 5 = 0`,
 	`SELECT PROVENANCE b.k, o.v FROM big b, other o WHERE b.v = o.v`,
 	`SELECT PROVENANCE k, count(*), sum(v) FROM big GROUP BY k`,
-}
+	forumAggClass,
+}, parallelTailJoins)
 
 // TestParallelDifferential pins the headline contract: for every query in the
 // suite, every (parallelism, work_mem) combination must produce bytes
@@ -236,6 +240,17 @@ func TestParallelGoroutineLeak(t *testing.T) {
 		mustExecSpill(t, s, q)
 	}
 	rows, err := s.Query(`SELECT k, v FROM big WHERE v % 2 = 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := rows.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows.Close()
+	// An abandoned parallel RIGHT join, parked before its tail.
+	rows, err = s.Query(parallelTailJoins[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,6 +84,11 @@ var spillSuite = []string{
 	`SELECT k, s FROM big EXCEPT ALL SELECT k, s FROM other`,
 	`SELECT k, s FROM big UNION SELECT k, s FROM other`,
 	`SELECT k FROM big UNION SELECT k FROM other ORDER BY k`,
+	`SELECT b.k, b.v, o.k, o.s FROM big b RIGHT JOIN other o ON b.v = o.v AND b.k < 25`,
+	`SELECT b.k, b.s, o.v FROM big b FULL JOIN other o ON b.v = o.v AND b.k < 25`,
+	`SELECT PROVENANCE b.k, o.s FROM big b RIGHT JOIN other o ON b.v = o.v AND b.k < 25`,
+	`SELECT PROVENANCE b.s, o.k FROM big b FULL JOIN other o ON b.v = o.v AND b.k < 25`,
+	forumAggClass,
 }
 
 // TestSpillDifferential runs the battery under the default (generous) budget
@@ -91,6 +96,7 @@ var spillSuite = []string{
 // session really spilled, and that no temp file outlives its query.
 func TestSpillDifferential(t *testing.T) {
 	db := seedSpillDB(t, 4000)
+	seedForumTables(t, db, 2000)
 	wide := db.NewSession()
 	defer wide.Close()
 	tiny := db.NewSession()

@@ -475,7 +475,10 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 		}
 		if wantTail {
 			for i := range brs {
-				if !brs[i].matched {
+				if h.tailMatched != nil {
+					// A parallel worker: the exchange emits the tail.
+					h.tailMatched[ords[i]] = brs[i].matched
+				} else if !brs[i].matched {
 					if err := emit((tailBase+ords[i])<<joinSeqShift, value.Concat(value.NullRow(nLeft), brs[i].row)); err != nil {
 						return err
 					}

@@ -37,16 +37,25 @@ func buildJoin(op *algebra.Join, parent *OpStats, par bool) (iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapStat(withExchange(joinIter(op, left, right), op, leaf, right, n), n), nil
+	return wrapStat(withExchange(joinIter(op, left, right, nil), op, leaf, right, n), n), nil
 }
 
 // joinIter is the non-lateral join over built inputs: a hash join on
-// equi-keys, a nested loop otherwise.
-func joinIter(op *algebra.Join, left, right iterator) iterator {
+// equi-keys, a nested loop otherwise. A non-nil tailMatched makes it a
+// parallel worker's RIGHT/FULL join, which records which build rows matched
+// (by build ordinal) instead of emitting the unmatched build tail itself.
+func joinIter(op *algebra.Join, left, right iterator, tailMatched []bool) iterator {
 	if keys := extractEquiKeys(op); len(keys) > 0 {
-		return &hashJoinIter{op: op, left: left, right: right, keys: keys}
+		return &hashJoinIter{op: op, left: left, right: right, keys: keys, tailMatched: tailMatched}
 	}
-	return &nlJoinIter{op: op, left: left, right: right}
+	return &nlJoinIter{op: op, left: left, right: right, tailMatched: tailMatched}
+}
+
+// HashJoinable reports whether a non-lateral join runs as a hash join (its
+// condition has at least one hashable equi-key), the planner's cue that the
+// right input becomes the build side.
+func HashJoinable(op *algebra.Join) bool {
+	return len(extractEquiKeys(op)) > 0
 }
 
 // equiKey is one hashable join key pair: leftExpr over the left schema,
@@ -171,6 +180,8 @@ type hashJoinIter struct {
 	tailIdx int
 	inTail  bool
 	done    bool
+	// tailMatched replaces the tail in a parallel worker (see joinIter).
+	tailMatched []bool
 	// spill state: the build side is charged against work_mem; past the
 	// budget the whole join switches to grace partitioning (gracejoin.go) and
 	// the output streams from the merger instead of the probe loop.
@@ -308,6 +319,13 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 			return nil, nil
 		}
 		if h.inTail {
+			if h.tailMatched != nil {
+				for i := range h.buildRows {
+					h.tailMatched[i] = h.buildRows[i].matched
+				}
+				h.done = true
+				return nil, nil
+			}
 			// FULL/RIGHT JOIN: emit unmatched build-side rows null-padded.
 			for h.tailIdx < len(h.buildRows) {
 				br := &h.buildRows[h.tailIdx]
@@ -441,6 +459,8 @@ type nlJoinIter struct {
 	reg          fileReg
 	spillFile    *spill.File
 	spillMatched []bool
+	// tailMatched replaces the tail in a parallel worker (see joinIter).
+	tailMatched []bool
 
 	comb       value.Row
 	curProbe   value.Row
@@ -524,6 +544,14 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 			return nil, err
 		}
 		if n.done {
+			return nil, nil
+		}
+		if n.inTail && n.tailMatched != nil {
+			for i := range n.rightRows {
+				n.tailMatched[i] = n.rightRows[i].matched
+			}
+			copy(n.tailMatched[len(n.rightRows):], n.spillMatched)
+			n.done = true
 			return nil, nil
 		}
 		if n.inTail {

@@ -22,8 +22,10 @@ import (
 //     tree's own right input, and shares the rows read-only; each worker joins
 //     its probe chain against them with a private join iterator (its own
 //     compiled expressions, hash table, and memory account against the one
-//     shared budget). Probe-side-local kinds only (INNER/LEFT/SEMI/ANTI/
-//     CROSS): their output factors by probe row.
+//     shared budget). Probe output factors by probe row; the unmatched build
+//     rows a RIGHT/FULL join adds do not, so each worker records its matched
+//     flags by build ordinal instead, and the exchange emits the rows no
+//     worker matched once, after the last partition, in build order.
 //   - aggregation: hash aggregation over such a chain. Each worker runs the
 //     serial fold in partial mode; the coordinator merges the partial groups
 //     in worker order (count/sum/min/max compose exactly), which reproduces
@@ -129,23 +131,10 @@ func gatherLeaf(op algebra.Op) *algebra.Scan {
 	return nil
 }
 
-// parJoinEligible: non-lateral probe-side-local kinds whose output factors by
-// probe row, a parallel-safe condition, and a partitionable probe side.
+// parJoinEligible: a non-lateral join with a parallel-safe condition and a
+// partitionable probe side.
 func parJoinEligible(o *algebra.Join) bool {
-	if o.Lateral {
-		return false
-	}
-	switch o.Kind {
-	case algebra.JoinInner, algebra.JoinLeft, algebra.JoinSemi, algebra.JoinAnti, algebra.JoinCross:
-	default:
-		// FULL/RIGHT emit unmatched build rows — shared mutable matched state
-		// across workers; stays serial.
-		return false
-	}
-	if !exprParSafe(o.Cond) {
-		return false
-	}
-	return gatherLeaf(o.Left) != nil
+	return !o.Lateral && exprParSafe(o.Cond) && gatherLeaf(o.Left) != nil
 }
 
 // parAggEligible: partitionable input, parallel-safe expressions, no DISTINCT
@@ -214,6 +203,12 @@ type exchangeIter struct {
 	cur     []value.Row
 	curIdx  int
 	err     error
+
+	// RIGHT/FULL join tail: the shared build rows, each worker's matched
+	// flags by build ordinal, and the next build ordinal to consider.
+	shared  []value.Row
+	matched [][]bool
+	tailIdx int
 }
 
 // parBatch is one exchange message: a batch of rows, a terminal error, or the
@@ -296,11 +291,19 @@ func (x *exchangeIter) Open(ctx *Context) error {
 			x.stats.BuildRows = int64(len(shared))
 		}
 	}
+	if j, ok := x.op.(*algebra.Join); ok && (j.Kind == algebra.JoinRight || j.Kind == algebra.JoinFull) {
+		x.shared = shared
+		x.matched = make([][]bool, deg)
+		for w := range x.matched {
+			x.matched[w] = make([]bool, len(shared))
+		}
+		x.acct.grow(int64(deg * len(shared)))
+	}
 	its := make([]iterator, deg)
 	x.wstats = make([]*OpStats, deg)
 	for w := range its {
 		var err error
-		if its[w], x.wstats[w], err = x.buildWorker(shared); err != nil {
+		if its[w], x.wstats[w], err = x.buildWorker(w, shared); err != nil {
 			x.acct.releaseAll()
 			return err
 		}
@@ -371,12 +374,12 @@ func (x *exchangeIter) materialize(ctx *Context) ([]value.Row, error) {
 	}
 }
 
-// buildWorker builds one worker's private tree through buildInto: a gather
+// buildWorker builds worker w's private tree through buildInto: a gather
 // chain whole, or a join's probe chain under a private join over the shared
 // build side, or an aggregation's input under a partial-mode aggIter. wn is
 // the worker's stand-in for the exchange's stats node (nil uninstrumented);
 // its children mirror the exchange node's.
-func (x *exchangeIter) buildWorker(shared []value.Row) (it iterator, wn *OpStats, err error) {
+func (x *exchangeIter) buildWorker(w int, shared []value.Row) (it iterator, wn *OpStats, err error) {
 	if x.stats != nil {
 		wn = &OpStats{Op: x.op}
 	}
@@ -386,7 +389,11 @@ func (x *exchangeIter) buildWorker(shared []value.Row) (it iterator, wn *OpStats
 		if err != nil {
 			return nil, nil, err
 		}
-		return joinIter(o, left, &sliceScanIter{rows: shared}), wn, nil
+		var tailMatched []bool
+		if x.matched != nil {
+			tailMatched = x.matched[w]
+		}
+		return joinIter(o, left, &sliceScanIter{rows: shared}, tailMatched), wn, nil
 	case *algebra.Agg:
 		in, err := buildInto(o.Input, wn, false)
 		if err != nil {
@@ -565,8 +572,9 @@ func mergeAggState(dst, src *aggState) error {
 	return nil
 }
 
-// Next returns the next row in worker order, (nil, nil) after the last
-// worker's end-of-stream. The first worker error is sticky.
+// Next returns the next row in worker order, then a RIGHT/FULL join's
+// unmatched build rows, and (nil, nil) after that. The first worker error is
+// sticky.
 func (x *exchangeIter) Next() (value.Row, error) {
 	if !x.inPar {
 		return x.serial.Next()
@@ -581,7 +589,7 @@ func (x *exchangeIter) Next() (value.Row, error) {
 			return row, nil
 		}
 		if x.wi >= len(x.outs) {
-			return nil, nil
+			return x.nextTail()
 		}
 		b := <-x.outs[x.wi]
 		switch {
@@ -594,6 +602,28 @@ func (x *exchangeIter) Next() (value.Row, error) {
 			x.cur, x.curIdx = b.rows, 0
 		}
 	}
+}
+
+// nextTail emits the next build row no worker matched, null-padded on the
+// left. Every worker wrote its flags before its end-of-stream marker, which
+// the coordinator has received by now.
+func (x *exchangeIter) nextTail() (value.Row, error) {
+	for x.tailIdx < len(x.shared) {
+		if err := x.ctx.tick(); err != nil {
+			return nil, err
+		}
+		i := x.tailIdx
+		x.tailIdx++
+		matched := false
+		for _, m := range x.matched {
+			matched = matched || m[i]
+		}
+		if !matched {
+			nLeft := len(x.op.(*algebra.Join).Left.Schema())
+			return value.Concat(value.NullRow(nLeft), x.shared[i]), nil
+		}
+	}
+	return nil, nil
 }
 
 // join cancels outstanding workers, waits for them all, and folds their
@@ -624,6 +654,7 @@ func (x *exchangeIter) release() {
 	x.inPar = false
 	x.outs, x.workers, x.wstats, x.folds, x.errs = nil, nil, nil, nil, nil
 	x.wi, x.cur, x.curIdx, x.err = 0, nil, 0, nil
+	x.shared, x.matched, x.tailIdx = nil, nil, 0
 }
 
 func (x *exchangeIter) Close() error {

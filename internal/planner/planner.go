@@ -1,10 +1,14 @@
 // Package planner implements the optimizer stage of the Perm pipeline
 // (Figure 3: "optimize and transform into plan"): rule-based logical
 // optimizations (constant folding, predicate pushdown, filter merging,
-// identity-projection removal) and the cardinality estimator that both the
-// planner and the provenance rewriter's cost-based strategy chooser use.
-// Perm deliberately reuses the host DBMS's optimizer on rewritten queries;
-// this package plays that role for the Go engine.
+// identity-projection removal), two join-planning rules, and the
+// cardinality estimator that both the planner and the provenance rewriter's
+// cost-based strategy chooser use. The join rules: two-sided filter
+// conjuncts fold into inner and cross join conditions (a comma join becomes
+// a hashable inner join), and a hash join whose right input is estimated
+// larger than its left commutes so it builds on the smaller side. Perm
+// deliberately reuses the host DBMS's optimizer on rewritten queries; this
+// package plays that role for the Go engine.
 package planner
 
 import (
@@ -27,7 +31,8 @@ func New(cat *catalog.Catalog) *Planner {
 	return &Planner{Cat: cat, MaxPasses: 8}
 }
 
-// Optimize applies the logical rewrite rules to a fixpoint (bounded).
+// Optimize applies the logical rewrite rules to a fixpoint (bounded), then
+// picks every hash join's build side.
 func (p *Planner) Optimize(op algebra.Op) algebra.Op {
 	passes := p.MaxPasses
 	if passes <= 0 {
@@ -40,7 +45,7 @@ func (p *Planner) Optimize(op algebra.Op) algebra.Op {
 			break
 		}
 	}
-	return op
+	return p.buildSmaller(op)
 }
 
 // pass applies one bottom-up optimization pass.
@@ -107,25 +112,29 @@ func (p *Planner) pass(op algebra.Op) (algebra.Op, bool) {
 		}
 		// Merge Project(Project) when the outer references are substitutable.
 		if inner, ok := o.Input.(*algebra.Project); ok {
-			merged := true
-			newExprs := make([]algebra.Expr, len(o.Exprs))
-			for i, e := range o.Exprs {
-				ne, ok2 := substitute(e, inner.Exprs)
-				if !ok2 {
-					merged = false
-					break
-				}
-				newExprs[i] = ne
-			}
-			if merged {
-				np := *o
-				np.Input = inner.Input
-				np.Exprs = newExprs
-				return &np, true
+			if merged, ok := mergeProjects(o, inner); ok {
+				return merged, true
 			}
 		}
 	}
 	return op, changed
+}
+
+// mergeProjects folds outer over inner into one Project when every outer
+// column reference substitutes to a cheap inner expression.
+func mergeProjects(outer, inner *algebra.Project) (*algebra.Project, bool) {
+	newExprs := make([]algebra.Expr, len(outer.Exprs))
+	for i, e := range outer.Exprs {
+		ne, ok := substitute(e, inner.Exprs)
+		if !ok {
+			return nil, false
+		}
+		newExprs[i] = ne
+	}
+	np := *outer
+	np.Input = inner.Input
+	np.Exprs = newExprs
+	return &np, true
 }
 
 // isIdentityProject reports whether the projection emits its input unchanged
@@ -176,14 +185,17 @@ func cheap(e algebra.Expr) bool {
 	return false
 }
 
-// pushIntoJoin pushes filter conjuncts that reference only one join side
-// below the join (inner joins only; outer joins change NULL semantics).
+// pushIntoJoin moves filter conjuncts into an inner or cross join: a
+// conjunct over one side goes below the join onto that side, and a two-sided
+// conjunct joins the join condition, turning a cross join inner so the
+// executor can hash its equi-keys. Conjuncts with subplans, and ones over no
+// join column, stay above. Outer joins are left alone (NULL semantics).
 func pushIntoJoin(sel *algebra.Select, join *algebra.Join) (algebra.Op, bool) {
 	if join.Kind != algebra.JoinInner && join.Kind != algebra.JoinCross {
 		return nil, false
 	}
 	nLeft := len(join.Left.Schema())
-	var leftConds, rightConds, rest []algebra.Expr
+	var leftConds, rightConds, joinConds, rest []algebra.Expr
 	for _, conj := range algebra.SplitAnd(sel.Cond) {
 		if algebra.HasSubplan(conj) {
 			rest = append(rest, conj)
@@ -200,15 +212,17 @@ func pushIntoJoin(sel *algebra.Select, join *algebra.Join) (algebra.Op, bool) {
 			}
 		}
 		switch {
-		case left && !right:
+		case left && right:
+			joinConds = append(joinConds, conj)
+		case left:
 			leftConds = append(leftConds, conj)
-		case right && !left:
+		case right:
 			rightConds = append(rightConds, algebra.ShiftCols(conj, -nLeft))
 		default:
 			rest = append(rest, conj)
 		}
 	}
-	if len(leftConds) == 0 && len(rightConds) == 0 {
+	if len(leftConds) == 0 && len(rightConds) == 0 && len(joinConds) == 0 {
 		return nil, false
 	}
 	nj := *join
@@ -218,11 +232,93 @@ func pushIntoJoin(sel *algebra.Select, join *algebra.Join) (algebra.Op, bool) {
 	if c := algebra.AndAll(rightConds); c != nil {
 		nj.Right = &algebra.Select{Input: join.Right, Cond: c}
 	}
+	if len(joinConds) > 0 {
+		nj.Cond = algebra.AndAll(append([]algebra.Expr{join.Cond}, joinConds...))
+		nj.Kind = algebra.JoinInner
+	}
 	var out algebra.Op = &nj
 	if c := algebra.AndAll(rest); c != nil {
 		out = &algebra.Select{Input: out, Cond: c}
 	}
 	return out, true
+}
+
+// buildSmaller is the build-side rule, one bottom-up pass after the rewrite
+// fixpoint. A hash join builds its right input, so a join that will hash and
+// whose right input is estimated strictly larger than its left commutes:
+// the inputs swap, LEFT and RIGHT trade places, the condition is remapped,
+// and a column-reordering Project restores the original schema (names and
+// provenance flags included), merging into a parent Project when there is
+// one. Ties, SEMI/ANTI/CROSS, lateral joins and conditions with subplans
+// are left alone.
+func (p *Planner) buildSmaller(op algebra.Op) algebra.Op {
+	if children := op.Children(); len(children) > 0 {
+		newChildren := make([]algebra.Op, len(children))
+		changed := false
+		for i, c := range children {
+			newChildren[i] = p.buildSmaller(c)
+			changed = changed || newChildren[i] != c
+		}
+		if changed {
+			op = op.WithChildren(newChildren)
+		}
+	}
+	switch o := op.(type) {
+	case *algebra.Join:
+		if p.shouldCommute(o) {
+			return commute(o)
+		}
+	case *algebra.Project:
+		if inner, ok := o.Input.(*algebra.Project); ok {
+			if merged, ok := mergeProjects(o, inner); ok {
+				return merged
+			}
+		}
+	}
+	return op
+}
+
+// shouldCommute reports whether the join hashes with the larger input as
+// its build side.
+func (p *Planner) shouldCommute(j *algebra.Join) bool {
+	switch j.Kind {
+	case algebra.JoinInner, algebra.JoinLeft, algebra.JoinRight, algebra.JoinFull:
+	default:
+		return false
+	}
+	if j.Lateral || algebra.HasSubplan(j.Cond) || !executor.HashJoinable(j) {
+		return false
+	}
+	return p.EstimateRows(j.Right) > p.EstimateRows(j.Left)
+}
+
+// commute swaps the join's inputs under a Project that restores the
+// original column order.
+func commute(j *algebra.Join) algebra.Op {
+	nLeft, nRight := len(j.Left.Schema()), len(j.Right.Schema())
+	kind := j.Kind
+	switch kind {
+	case algebra.JoinLeft:
+		kind = algebra.JoinRight
+	case algebra.JoinRight:
+		kind = algebra.JoinLeft
+	}
+	// Old left column i moves to nRight+i, old right column nLeft+i to i.
+	moved := func(idx int) int {
+		if idx < nLeft {
+			return nRight + idx
+		}
+		return idx - nLeft
+	}
+	cond := algebra.MapCols(j.Cond, func(c *algebra.ColIdx) algebra.Expr {
+		return &algebra.ColIdx{Idx: moved(c.Idx), Typ: c.Typ, Name: c.Name}
+	})
+	swapped := algebra.NewJoin(kind, j.Right, j.Left, cond)
+	exprs := make([]algebra.Expr, len(j.Sch))
+	for i, c := range j.Sch {
+		exprs[i] = &algebra.ColIdx{Idx: moved(i), Typ: c.Type, Name: c.Name}
+	}
+	return &algebra.Project{Input: swapped, Exprs: exprs, Sch: j.Sch}
 }
 
 // FoldConstants evaluates constant sub-expressions at plan time.
