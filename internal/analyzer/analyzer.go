@@ -1003,6 +1003,13 @@ func (a *Analyzer) analyzeExpr(e sql.Expr, sc *scope, ctx exprCtx) (algebra.Expr
 		if err != nil {
 			return nil, err
 		}
+		if x.Op == sql.OpAnd || x.Op == sql.OpOr {
+			for _, operand := range []algebra.Expr{l, r} {
+				if err := wantBool(operand, x.Op.String()); err != nil {
+					return nil, err
+				}
+			}
+		}
 		return &algebra.Bin{Op: x.Op, L: l, R: r}, nil
 	case *sql.UnaryExpr:
 		inner, err := a.analyzeExpr(x.E, sc, ctx)
@@ -1011,6 +1018,9 @@ func (a *Analyzer) analyzeExpr(e sql.Expr, sc *scope, ctx exprCtx) (algebra.Expr
 		}
 		switch x.Op {
 		case "not":
+			if err := wantBool(inner, "NOT"); err != nil {
+				return nil, err
+			}
 			return &algebra.Not{E: inner}, nil
 		case "-":
 			return &algebra.Neg{E: inner}, nil
@@ -1256,6 +1266,8 @@ func (a *Analyzer) analyzeCase(x *sql.CaseExpr, sc *scope, ctx exprCtx) (algebra
 		}
 		if operand != nil {
 			cond = &algebra.Bin{Op: sql.OpEq, L: operand, R: cond}
+		} else if err := wantBool(cond, "CASE WHEN"); err != nil {
+			return nil, err
 		}
 		res, err := a.analyzeExpr(w.Result, sc, ctx)
 		if err != nil {

@@ -41,6 +41,12 @@ func TestAnalyzerErrorPaths(t *testing.T) {
 		{"distinct order", `SELECT DISTINCT b FROM t ORDER BY a`, "DISTINCT"},
 		{"prov attr missing", `SELECT a FROM t PROVENANCE (zz)`, "does not exist"},
 		{"bare column with agg", `SELECT a, count(*) FROM t`, "GROUP BY"},
+		{"not integer", `SELECT NOT 5`, "NOT condition must be boolean, got integer"},
+		{"not text", `SELECT NOT 'abc'`, "NOT condition must be boolean, got text"},
+		{"and integers", `SELECT 1 AND 2`, "AND condition must be boolean, got integer"},
+		{"and in where", `SELECT 'x' WHERE 1 AND 2`, "AND condition must be boolean, got integer"},
+		{"or column", `SELECT a FROM t WHERE a > 1 OR b`, "OR condition must be boolean, got text"},
+		{"case when integer", `SELECT CASE WHEN 5 THEN 'a' ELSE 'b' END`, "CASE WHEN condition must be boolean, got integer"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -902,7 +902,7 @@ func (s *Session) runInsert(ins *sql.InsertStmt, args []value.Value) (*Result, e
 				if err != nil {
 					return nil, err
 				}
-				v, err := executor.Eval(re, nil, ctx)
+				v, err := executor.CompileExpr(re)(nil, ctx)
 				if err != nil {
 					return nil, err
 				}

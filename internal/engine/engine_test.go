@@ -331,3 +331,45 @@ func TestValuesKindInResult(t *testing.T) {
 		}
 	}
 }
+
+// TestNonBooleanLogicOperandsRejected: NOT, AND, OR and CASE WHEN over a
+// non-boolean operand fail at analysis instead of reading the operand's
+// boolean payload; NULL and boolean operands, literal or bound, still run.
+func TestNonBooleanLogicOperandsRejected(t *testing.T) {
+	s := session(t)
+	for _, q := range []string{
+		`SELECT NOT 5`,
+		`SELECT NOT 'abc'`,
+		`SELECT 1 AND 2`,
+		`SELECT 'x' WHERE 1 AND 2`,
+		`SELECT CASE WHEN 5 THEN 'a' ELSE 'b' END`,
+	} {
+		if _, err := s.Execute(q); err == nil || !strings.Contains(err.Error(), "must be boolean") {
+			t.Errorf("%s: err = %v, want a boolean type error", q, err)
+		}
+	}
+	for q, want := range map[string]value.Value{
+		`SELECT NOT NULL`:                                  value.Null,
+		`SELECT NULL AND TRUE`:                             value.Null,
+		`SELECT NOT (1 > 2)`:                               value.NewBool(true),
+		`SELECT CASE WHEN NULL THEN 'a' ELSE 'b' END`:      value.NewString("b"),
+		`SELECT CASE WHEN 2 > 1 THEN 'a' ELSE 'b' END`:     value.NewString("a"),
+		`SELECT count(*) FROM (SELECT 1) x WHERE NOT NULL`: value.NewInt(0),
+	} {
+		res := exec(t, s, q)
+		if len(res.Rows) != 1 || res.Rows[0][0].K != want.K || value.Distinct(res.Rows[0][0], want) {
+			t.Errorf("%s = %v, want %v", q, res.Rows, want)
+		}
+	}
+	prep, err := s.Prepare(`SELECT NOT ?`)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	res, err := prep.Exec(value.NewBool(true))
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].K != value.KindBool || res.Rows[0][0].Bool() {
+		t.Errorf("NOT ? bound TRUE = %v, %v", res, err)
+	}
+	if _, err := prep.Exec(value.NewInt(5)); err == nil || !strings.Contains(err.Error(), "must be boolean") {
+		t.Errorf("NOT ? bound 5: err = %v, want a boolean type error", err)
+	}
+}

@@ -19,9 +19,9 @@ type builtin struct {
 	tolerant bool
 }
 
-// lookupBuiltin resolves a scalar function by (lower-case) name. Both the
-// tree-walking Eval and the compiled-expression path dispatch through this
-// registry, so function semantics live in exactly one place.
+// lookupBuiltin resolves a scalar function by (lower-case) name. Compile
+// resolves every function call through this registry once, when the call is
+// compiled, so function semantics live in exactly one place.
 func lookupBuiltin(name string) (builtin, bool) {
 	b, ok := builtins[name]
 	return b, ok

@@ -1,10 +1,10 @@
-// Compile-once expression evaluation. Every iterator lowers its expressions
-// into closures at Open time, so the per-node type switch, binary-operator
-// dispatch and scalar-function lookup of the tree-walking Eval run once per
-// query instead of once per row. The closures implement exactly the SQL
-// three-valued logic of eval.go; eval.go remains the reference
-// implementation (and the path used for one-shot evaluation such as INSERT
-// literals).
+// Compile-once expression evaluation: the executor's only definition of
+// scalar semantics. Every iterator lowers its expressions into closures at
+// Open time, so the per-node type switch, binary-operator dispatch and
+// scalar-function lookup run once per query instead of once per row. The
+// closures implement SQL three-valued logic; one-shot callers (INSERT
+// literals, the planner's constant folding) compile and call them the same
+// way.
 package executor
 
 import (
@@ -24,9 +24,9 @@ type compiledExpr func(row value.Row, ctx *Context) (value.Value, error)
 type compiledPred func(row value.Row, ctx *Context) (bool, error)
 
 // Compile lowers e into a compiled evaluator. Compilation never fails;
-// malformed nodes compile into closures that return the error the interpreter
-// would have produced at evaluation time, preserving lazy-error semantics
-// (e.g. a CASE arm that never runs never errors).
+// malformed nodes (an unknown function, operator or node type) compile into
+// closures that return their error at evaluation time, preserving lazy-error
+// semantics (e.g. a CASE arm that never runs never errors).
 func Compile(e algebra.Expr) compiledExpr {
 	switch x := e.(type) {
 	case nil:
@@ -126,12 +126,7 @@ func Compile(e algebra.Expr) compiledExpr {
 			return value.Coerce(v, to)
 		}
 	case *algebra.Subplan:
-		// Subplans execute a nested plan; the plan's own iterators compile
-		// their expressions when that plan opens, so the closure just defers
-		// to the subplan machinery.
-		return func(row value.Row, ctx *Context) (value.Value, error) {
-			return evalSubplan(x, row, ctx)
-		}
+		return compileSubplan(x)
 	}
 	return func(value.Row, *Context) (value.Value, error) {
 		return value.Null, fmt.Errorf("executor: cannot evaluate expression %T", e)
@@ -255,21 +250,8 @@ func compileBin(x *algebra.Bin) compiledExpr {
 		}
 	}
 	// Ordering comparisons: resolve the comparison test once.
-	var test func(c int) bool
-	switch x.Op {
-	case sql.OpEq:
-		test = func(c int) bool { return c == 0 }
-	case sql.OpNeq:
-		test = func(c int) bool { return c != 0 }
-	case sql.OpLt:
-		test = func(c int) bool { return c < 0 }
-	case sql.OpLte:
-		test = func(c int) bool { return c <= 0 }
-	case sql.OpGt:
-		test = func(c int) bool { return c > 0 }
-	case sql.OpGte:
-		test = func(c int) bool { return c >= 0 }
-	default:
+	test := compareTest(x.Op)
+	if test == nil {
 		op := x.Op
 		return func(value.Row, *Context) (value.Value, error) {
 			return value.Null, fmt.Errorf("executor: unknown binary operator %v", op)
@@ -289,6 +271,26 @@ func compileBin(x *algebra.Bin) compiledExpr {
 		}
 		return value.NewBool(test(c)), nil
 	}
+}
+
+// compareTest maps a comparison operator to its test on value.Compare's
+// result, or nil when op is not a comparison.
+func compareTest(op sql.BinOp) func(c int) bool {
+	switch op {
+	case sql.OpEq:
+		return func(c int) bool { return c == 0 }
+	case sql.OpNeq:
+		return func(c int) bool { return c != 0 }
+	case sql.OpLt:
+		return func(c int) bool { return c < 0 }
+	case sql.OpLte:
+		return func(c int) bool { return c <= 0 }
+	case sql.OpGt:
+		return func(c int) bool { return c > 0 }
+	case sql.OpGte:
+		return func(c int) bool { return c >= 0 }
+	}
+	return nil
 }
 
 func evalPair(l, r compiledExpr, row value.Row, ctx *Context) (value.Value, value.Value, error) {
@@ -408,6 +410,162 @@ func compileInList(x *algebra.InList) compiledExpr {
 		}
 		return value.NewBool(neg), nil
 	}
+}
+
+// compileSubplan compiles a subplan's needle once; the nested plan's own
+// iterators compile their expressions when that plan opens. ANY/ALL
+// comparisons resolve their test once, as compileBin does.
+func compileSubplan(sp *algebra.Subplan) compiledExpr {
+	needle := Compile(sp.Needle)
+	test := compareTest(sp.CmpOp)
+	return func(row value.Row, ctx *Context) (value.Value, error) {
+		return evalSubplan(sp, needle, test, row, ctx)
+	}
+}
+
+// evalSubplan runs a nested plan for scalar/EXISTS/IN/ANY/ALL consumption.
+func evalSubplan(sp *algebra.Subplan, needle compiledExpr, test func(c int) bool, row value.Row, ctx *Context) (value.Value, error) {
+	var rows []value.Row
+	if !sp.Correlated {
+		cached, ok := ctx.subplanCache[sp]
+		if !ok {
+			ctx.SubplanMisses++
+			res, err := Run(ctx, sp.Plan)
+			cached = &subplanResult{err: err}
+			if err == nil {
+				cached.rows = res.Rows
+			}
+			ctx.subplanCache[sp] = cached
+		} else {
+			ctx.SubplanHits++
+		}
+		if cached.err != nil {
+			return value.Null, cached.err
+		}
+		// Fast path: uncorrelated IN membership via hash lookup. The probe key
+		// is built in the context's scratch buffer; map lookups through
+		// string(scratch) stay on the compiler's no-allocation path, so probing
+		// costs zero allocations per outer row.
+		if sp.Mode == algebra.InSubplan {
+			nv, err := needle(row, ctx)
+			if err != nil || nv.IsNull() {
+				return value.Null, err
+			}
+			set, sawNull := cached.membership()
+			ctx.keyScratch = nv.AppendKey(ctx.keyScratch[:0])
+			if _, ok := set[string(ctx.keyScratch)]; ok {
+				return value.NewBool(!sp.Neg), nil
+			}
+			if sawNull {
+				return value.Null, nil
+			}
+			return value.NewBool(sp.Neg), nil
+		}
+		rows = cached.rows
+	} else {
+		// Correlated: re-open the cached iterator tree under this outer row
+		// (compile-once — the tree is built on first use, see subplanIter).
+		it, err := ctx.subplanIter(sp)
+		if err != nil {
+			return value.Null, err
+		}
+		ctx.pushOuter(row)
+		rows, err = reopenAndDrain(it, ctx)
+		ctx.popOuter()
+		if err != nil {
+			return value.Null, err
+		}
+	}
+	switch sp.Mode {
+	case algebra.ScalarSubplan:
+		if len(rows) == 0 {
+			return value.Null, nil
+		}
+		if len(rows) > 1 {
+			return value.Null, fmt.Errorf("scalar subquery produced more than one row")
+		}
+		return rows[0][0], nil
+	case algebra.ExistsSubplan:
+		return value.NewBool((len(rows) > 0) != sp.Neg), nil
+	case algebra.InSubplan:
+		nv, err := needle(row, ctx)
+		if err != nil || nv.IsNull() {
+			return value.Null, err
+		}
+		sawNull := false
+		for _, r := range rows {
+			v := r[0]
+			if v.IsNull() {
+				sawNull = true
+				continue
+			}
+			if value.Equal(nv, v) {
+				return value.NewBool(!sp.Neg), nil
+			}
+		}
+		if sawNull {
+			return value.Null, nil
+		}
+		return value.NewBool(sp.Neg), nil
+	case algebra.AnySubplan, algebra.AllSubplan:
+		if test == nil {
+			return value.Null, fmt.Errorf("executor: unknown binary operator %v", sp.CmpOp)
+		}
+		nv, err := needle(row, ctx)
+		if err != nil {
+			return value.Null, err
+		}
+		sawNull := false
+		for _, r := range rows {
+			if nv.IsNull() || r[0].IsNull() {
+				sawNull = true
+				continue
+			}
+			c, err := value.Compare(nv, r[0])
+			if err != nil {
+				return value.Null, err
+			}
+			// ANY stops at the first TRUE comparison, ALL at the first FALSE.
+			if hit := test(c); hit == (sp.Mode == algebra.AnySubplan) {
+				return value.NewBool(hit), nil
+			}
+		}
+		if sawNull {
+			return value.Null, nil
+		}
+		return value.NewBool(sp.Mode == algebra.AllSubplan), nil
+	}
+	return value.Null, fmt.Errorf("executor: unknown subplan mode %d", sp.Mode)
+}
+
+// likeMatch implements SQL LIKE with % (any sequence) and _ (any single
+// character), case sensitively, via iterative backtracking.
+func likeMatch(s, pattern string) bool {
+	// Convert to runes for correct _ semantics.
+	str, pat := []rune(s), []rune(pattern)
+	si, pi := 0, 0
+	starSi, starPi := -1, -1
+	for si < len(str) {
+		switch {
+		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == str[si]):
+			si++
+			pi++
+		case pi < len(pat) && pat[pi] == '%':
+			starPi = pi
+			starSi = si
+			pi++
+		case starPi >= 0:
+			starSi++
+			si = starSi
+			pi = starPi + 1
+		default:
+			return false
+		}
+	}
+	for pi < len(pat) && pat[pi] == '%' {
+		pi++
+	}
+	return pi == len(pat)
 }
 
 // compileAll compiles a slice of expressions.

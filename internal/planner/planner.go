@@ -321,87 +321,66 @@ func commute(j *algebra.Join) algebra.Op {
 	return &algebra.Project{Input: swapped, Exprs: exprs, Sch: j.Sch}
 }
 
-// FoldConstants evaluates constant sub-expressions at plan time.
+// FoldConstants evaluates constant sub-expressions at plan time. A Bin
+// (other than AND/OR), Not, Neg, IsNull or Cast whose operands are all Const
+// folds to the value the executor's compiled evaluator computes for it; one
+// whose evaluation errors stays unfolded, so the error surfaces at run time
+// only if the expression runs.
 func FoldConstants(e algebra.Expr) (algebra.Expr, bool) {
 	changed := false
 	var fold func(algebra.Expr) algebra.Expr
 	fold = func(e algebra.Expr) algebra.Expr {
+		out, foldable := e, false
 		switch x := e.(type) {
 		case *algebra.Bin:
-			l := fold(x.L)
-			r := fold(x.R)
-			lc, lok := l.(*algebra.Const)
-			rc, rok := r.(*algebra.Const)
-			if lok && rok && foldableOp(x.Op) {
-				if v, err := executor.Eval(&algebra.Bin{Op: x.Op, L: lc, R: rc}, nil, nil); err == nil {
-					changed = true
-					return &algebra.Const{Val: v}
-				}
-			}
+			l, r := fold(x.L), fold(x.R)
 			if l != x.L || r != x.R {
-				changed = true
-				return &algebra.Bin{Op: x.Op, L: l, R: r}
+				out = &algebra.Bin{Op: x.Op, L: l, R: r}
 			}
-			return x
+			foldable = isConst(l) && isConst(r) && foldableOp(x.Op)
 		case *algebra.Not:
-			inner := fold(x.E)
-			if c, ok := inner.(*algebra.Const); ok {
-				if c.Val.IsNull() {
-					changed = true
-					return &algebra.Const{Val: value.Null}
-				}
-				if c.Val.K == value.KindBool {
-					changed = true
-					return &algebra.Const{Val: value.NewBool(!c.Val.Bool())}
-				}
+			in := fold(x.E)
+			if in != x.E {
+				out = &algebra.Not{E: in}
 			}
-			if inner != x.E {
-				changed = true
-				return &algebra.Not{E: inner}
-			}
-			return x
+			foldable = isConst(in)
 		case *algebra.Neg:
-			inner := fold(x.E)
-			if c, ok := inner.(*algebra.Const); ok {
-				if v, err := value.Neg(c.Val); err == nil {
-					changed = true
-					return &algebra.Const{Val: v}
-				}
+			in := fold(x.E)
+			if in != x.E {
+				out = &algebra.Neg{E: in}
 			}
-			if inner != x.E {
-				changed = true
-				return &algebra.Neg{E: inner}
-			}
-			return x
+			foldable = isConst(in)
 		case *algebra.IsNull:
-			inner := fold(x.E)
-			if c, ok := inner.(*algebra.Const); ok {
-				changed = true
-				return &algebra.Const{Val: value.NewBool(c.Val.IsNull() != x.Not)}
+			in := fold(x.E)
+			if in != x.E {
+				out = &algebra.IsNull{E: in, Not: x.Not}
 			}
-			if inner != x.E {
-				changed = true
-				return &algebra.IsNull{E: inner, Not: x.Not}
-			}
-			return x
+			foldable = isConst(in)
 		case *algebra.Cast:
-			inner := fold(x.E)
-			if c, ok := inner.(*algebra.Const); ok {
-				if v, err := value.Coerce(c.Val, x.To); err == nil {
-					changed = true
-					return &algebra.Const{Val: v}
-				}
+			in := fold(x.E)
+			if in != x.E {
+				out = &algebra.Cast{E: in, To: x.To}
 			}
-			if inner != x.E {
-				changed = true
-				return &algebra.Cast{E: inner, To: x.To}
-			}
-			return x
+			foldable = isConst(in)
 		}
-		return e
+		if out != e {
+			changed = true
+		}
+		if foldable {
+			if v, err := executor.CompileExpr(out)(nil, nil); err == nil {
+				changed = true
+				return &algebra.Const{Val: v}
+			}
+		}
+		return out
 	}
 	out := fold(e)
 	return out, changed
+}
+
+func isConst(e algebra.Expr) bool {
+	_, ok := e.(*algebra.Const)
+	return ok
 }
 
 // foldableOp excludes AND/OR (3VL short-circuits are already cheap and

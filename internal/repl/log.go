@@ -3,6 +3,7 @@ package repl
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"perm/internal/value"
 )
@@ -35,7 +36,11 @@ type ChangeLog struct {
 	totalCost int
 	// base is the LSN of the last record trimmed away (0 when nothing ever
 	// was), i.e. the log currently describes (base, base+len(recs)].
-	base        uint64
+	base uint64
+	// last mirrors base+len(recs), stored under mu and read without it, so
+	// LastLSN never queues behind an append whose hook is waiting on the
+	// write-ahead log (which may be mid-fsync).
+	last        atomic.Uint64
 	retain      int
 	retainBytes int
 	// trimmed counts records dropped since the last reallocation; slicing
@@ -145,6 +150,7 @@ func (l *ChangeLog) push(rec Record) {
 		l.hook(rec)
 	}
 	l.recs = append(l.recs, rec)
+	l.last.Store(rec.LSN)
 	l.costs = append(l.costs, recordCost(rec))
 	l.totalCost += l.costs[len(l.costs)-1]
 	drop := 0
@@ -189,9 +195,7 @@ func (l *ChangeLog) push(rec Record) {
 // also the node's replication position: on a replica the log replays the
 // primary's records at their original LSNs, so LastLSN is "applied LSN".
 func (l *ChangeLog) LastLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base + uint64(len(l.recs))
+	return l.last.Load()
 }
 
 // OldestLSN returns the LSN of the oldest retained record, or 0 when the
@@ -248,6 +252,7 @@ func (l *ChangeLog) Reset(lsn uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.base = lsn
+	l.last.Store(lsn)
 	l.recs = nil
 	l.costs = nil
 	l.totalCost = 0

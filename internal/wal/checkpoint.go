@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"perm/internal/storage"
@@ -20,10 +21,12 @@ type Manager struct {
 	log  *seglog
 	logf func(format string, args ...any)
 
-	mu            sync.Mutex
-	store         *storage.Store
-	checkpointLSN uint64
-	checkpoints   int
+	mu    sync.Mutex
+	store *storage.Store
+	// checkpointLSN and checkpoints are written under mu but read by Status
+	// without it: mu is held across a whole checkpoint's write and fsync.
+	checkpointLSN atomic.Uint64
+	checkpoints   atomic.Int64
 
 	ckStop chan struct{}
 	ckDone chan struct{}
@@ -78,10 +81,8 @@ type Status struct {
 // Status reports the manager's state.
 func (m *Manager) Status() Status {
 	mode, last, durable, segs, bytes, errStr := m.log.stats()
-	m.mu.Lock()
-	ck, n := m.checkpointLSN, m.checkpoints
-	m.mu.Unlock()
-	return Status{Mode: mode, LastLSN: last, DurableLSN: durable, CheckpointLSN: ck, Checkpoints: n, Segments: segs, WALBytes: bytes, Err: errStr}
+	return Status{Mode: mode, LastLSN: last, DurableLSN: durable, CheckpointLSN: m.checkpointLSN.Load(),
+		Checkpoints: int(m.checkpoints.Load()), Segments: segs, WALBytes: bytes, Err: errStr}
 }
 
 // Checkpoint writes a consistent snapshot of the current store (via the
@@ -126,8 +127,8 @@ func (m *Manager) checkpointLocked() error {
 	if err := syncDir(m.dir); err != nil {
 		return err
 	}
-	m.checkpointLSN = lsn
-	m.checkpoints++
+	m.checkpointLSN.Store(lsn)
+	m.checkpoints.Add(1)
 	mCheckpoints.Inc()
 	// GC floor: segments below the checkpoint are redundant with the
 	// snapshot, but segments the in-memory change log still retains stay —
@@ -169,7 +170,7 @@ func (m *Manager) StartCheckpointer(interval time.Duration) {
 			case <-t.C:
 			}
 			m.mu.Lock()
-			if m.store.Log().LastLSN() != m.checkpointLSN {
+			if m.store.Log().LastLSN() != m.checkpointLSN.Load() {
 				if err := m.checkpointLocked(); err != nil {
 					m.logf("wal: background checkpoint: %v", err)
 				}

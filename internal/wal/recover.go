@@ -114,7 +114,7 @@ func Open(dir string, opts Options) (*storage.Store, *Manager, Recovery, error) 
 		return nil, nil, rec, err
 	}
 	m := &Manager{dir: dir, log: l, store: store, logf: logf}
-	m.checkpointLSN = rec.SnapshotLSN
+	m.checkpointLSN.Store(rec.SnapshotLSN)
 	m.attach(store)
 	if opts.CheckpointInterval > 0 {
 		m.StartCheckpointer(opts.CheckpointInterval)

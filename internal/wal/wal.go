@@ -177,6 +177,40 @@ type seglog struct {
 	done          chan struct{}
 
 	buf []byte // frame scratch, reused across appends
+
+	// shown is what stats reports, republished by unlock whenever a method
+	// that may have changed it releases mu. stats reads it under shownMu
+	// alone: mu is held across every fsync, and a status probe that queued
+	// behind a slow disk would make a live primary look dead to the
+	// cluster coordinator.
+	shownMu sync.Mutex
+	shown   logStats
+}
+
+// logStats is the published copy of the log state stats reports.
+type logStats struct {
+	mode                int
+	interval            time.Duration
+	lastLSN, durableLSN uint64
+	segments            int
+	bytes               int64
+	err                 error
+}
+
+// unlock republishes the observable state and releases mu.
+func (l *seglog) unlock() {
+	st := logStats{
+		mode: l.mode, interval: l.interval,
+		lastLSN: l.lastLSN, durableLSN: l.durableLSN,
+		segments: len(l.sealed) + 1, bytes: l.written, err: l.err,
+	}
+	for _, s := range l.sealed {
+		st.bytes += s.bytes
+	}
+	l.shownMu.Lock()
+	l.shown = st
+	l.shownMu.Unlock()
+	l.mu.Unlock()
 }
 
 func segName(first uint64) string {
@@ -232,7 +266,10 @@ func newSeglog(dir string, lastLSN, origin uint64, sealed []segment, mode int, i
 		done:       make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
-	if err := l.openSegmentLocked(lastLSN + 1); err != nil {
+	l.mu.Lock()
+	err := l.openSegmentLocked(lastLSN + 1)
+	l.unlock()
+	if err != nil {
 		return nil, err
 	}
 	go l.syncLoop()
@@ -296,7 +333,7 @@ func syncDir(dir string) error {
 // write) fails instead — the client is never acknowledged.
 func (l *seglog) append(rec repl.Record) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	if l.err != nil || l.closed {
 		return
 	}
@@ -426,7 +463,7 @@ func (l *seglog) syncLoop() {
 		if !l.closed {
 			_ = l.fsyncLocked()
 		}
-		l.mu.Unlock()
+		l.unlock()
 	}
 }
 
@@ -436,7 +473,7 @@ func (l *seglog) syncLoop() {
 // after their critical section, before acknowledging the client.
 func (l *seglog) WaitDurable(lsn uint64) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	for {
 		if l.err != nil {
 			return l.err
@@ -471,7 +508,7 @@ func (l *seglog) Err() error {
 // record remains un-durable under the stricter promise.
 func (l *seglog) setSync(mode int, interval time.Duration) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	l.mode, l.interval = mode, interval
 	if mode == syncAlways && l.err == nil && !l.closed {
 		_ = l.fsyncLocked()
@@ -483,7 +520,7 @@ func (l *seglog) setSync(mode int, interval time.Duration) {
 // sync forces an fsync now regardless of policy (checkpoints, shutdown).
 func (l *seglog) sync() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	if l.closed {
 		return l.err
 	}
@@ -495,7 +532,7 @@ func (l *seglog) sync() error {
 // removed. The current append segment is never touched.
 func (l *seglog) removeBelow(floor uint64) int {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	removed := 0
 	for len(l.sealed) > 0 {
 		next := l.curFirst
@@ -530,7 +567,7 @@ func (l *seglog) removeBelow(floor uint64) int {
 // no attached store) and fsyncs are no-ops (durableLSN == lastLSN).
 func (l *seglog) discard() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	if l.err != nil {
 		return l.err
 	}
@@ -559,7 +596,7 @@ func (l *seglog) discard() error {
 // history origin, creating the first segment of the new timeline.
 func (l *seglog) restart(lastLSN, origin uint64) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	if l.err != nil {
 		return l.err
 	}
@@ -577,21 +614,16 @@ func (l *seglog) restart(lastLSN, origin uint64) error {
 	return nil
 }
 
-// stats reports the observable log state for SHOW wal_status.
+// stats reports the observable log state for SHOW wal_status and status
+// probes: the state as of the last release of mu, without waiting for it.
 func (l *seglog) stats() (mode string, lastLSN, durableLSN uint64, segments int, bytes int64, errStr string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	mode = syncPolicyString(l.mode, l.interval)
-	lastLSN, durableLSN = l.lastLSN, l.durableLSN
-	segments = len(l.sealed) + 1
-	bytes = l.written
-	for _, s := range l.sealed {
-		bytes += s.bytes
+	l.shownMu.Lock()
+	st := l.shown
+	l.shownMu.Unlock()
+	if st.err != nil {
+		errStr = st.err.Error()
 	}
-	if l.err != nil {
-		errStr = l.err.Error()
-	}
-	return
+	return syncPolicyString(st.mode, st.interval), st.lastLSN, st.durableLSN, st.segments, st.bytes, errStr
 }
 
 // close fsyncs the tail (best effort once failed) and shuts the syncer
@@ -614,7 +646,7 @@ func (l *seglog) close() error {
 	l.closed = true
 	l.cond.Broadcast()
 	close(l.kick)
-	l.mu.Unlock()
+	l.unlock()
 	<-l.done
 	return err
 }

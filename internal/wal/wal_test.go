@@ -379,6 +379,60 @@ func TestSyncErrSticky(t *testing.T) {
 	}
 }
 
+// TestStatusDuringStalledFsync holds one fsync open and checks that Status
+// and the change log's position still answer at once: a cluster
+// coordinator's health probe reads them, and one that waited for a slow
+// disk would report a live primary as dead.
+func TestStatusDuringStalledFsync(t *testing.T) {
+	var stall atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	hooks := &walfault.Hooks{SyncErr: func() error {
+		if stall.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		return nil
+	}}
+	s, m, _ := testOpen(t, t.TempDir(), Options{Sync: "always", Hooks: hooks})
+	defer m.Close()
+	var releaseOnce sync.Once
+	unstall := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unstall() // before Close, which waits for the stalled fsync
+	seed(t, s, 0, 1)
+	before := m.Status()
+	stall.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Table("kv").Insert(value.Row{value.NewInt(1), value.NewInt(1)})
+		done <- err
+	}()
+	<-entered
+
+	probed := make(chan Status, 1)
+	go func() { probed <- m.Status() }()
+	select {
+	case st := <-probed:
+		// The record is written but not yet durable.
+		if st.LastLSN != before.LastLSN+1 || st.DurableLSN != before.DurableLSN {
+			t.Errorf("status during the stall: last %d durable %d, want %d/%d",
+				st.LastLSN, st.DurableLSN, before.LastLSN+1, before.DurableLSN)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Status blocked behind an in-flight fsync")
+	}
+	if got, want := s.Log().LastLSN(), before.LastLSN+1; got != want {
+		t.Errorf("change log position during the stall = %d, want %d", got, want)
+	}
+
+	unstall()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Status(); st.DurableLSN != before.LastLSN+1 || st.LastLSN != st.DurableLSN {
+		t.Fatalf("after the fsync: last %d durable %d, want both %d", st.LastLSN, st.DurableLSN, before.LastLSN+1)
+	}
+}
+
 func TestGroupCommitDurable(t *testing.T) {
 	dir := t.TempDir()
 	s, m, _ := testOpen(t, dir, Options{Sync: "group(1)"})
